@@ -8,7 +8,7 @@ are all the machinery the joint solver needs.
 """
 import numpy as np
 
-from skelfit import Transform, compose, invert, relative, rotation_about_axis
+from skelfit import Transform, relative, rotation_about_axis
 
 # a quarter turn about z, lifted half a meter
 R = rotation_about_axis(np.array([0.0, 0.0, 1.0]), np.pi / 2.0)
@@ -18,14 +18,14 @@ pose = Transform(R, np.array([0.0, 0.0, 0.5]))
 print("body (1,0,0) maps to", np.round(pose.apply(np.array([1.0, 0.0, 0.0])), 6))
 
 # inversion undoes the mapping exactly
-back = invert(pose).apply(pose.apply(np.array([0.2, -0.1, 0.7])))
+back = pose.invert().apply(pose.apply(np.array([0.2, -0.1, 0.7])))
 print("round trip error", np.linalg.norm(back - [0.2, -0.1, 0.7]))
 
 # composition chains parent-of-child: child-to-world = parent-to-world o child-to-parent
 child_in_parent = Transform(
     rotation_about_axis(np.array([0.0, 1.0, 0.0]), 0.3), np.array([0.4, 0.0, 0.0])
 )
-child_world = compose(pose, child_in_parent)
+child_world = pose.compose(child_in_parent)
 print("child origin in world", np.round(child_world.t, 6))
 
 # relative(world_i, world_j) recovers i expressed in j's frame

@@ -14,7 +14,6 @@ exactly once.  An optional sidecar maps body indices to labels:
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -38,6 +37,12 @@ def _check_invertible(rotations: np.ndarray):
     dets = np.linalg.det(rotations)
     norms = np.sqrt((rotations**2).sum(axis=(1, 2)))
     return np.nonzero(np.abs(dets) <= DET_RTOL * norms**3)[0]
+
+
+def _non_finite_frames(rotations: np.ndarray, translations: np.ndarray):
+    """Indices of frames holding a NaN or infinite value."""
+    ok = np.isfinite(rotations).all(axis=(1, 2)) & np.isfinite(translations).all(axis=1)
+    return np.nonzero(~ok)[0]
 
 
 def _ortho_errors(rotations: np.ndarray) -> np.ndarray:
@@ -67,6 +72,9 @@ class BodyTrack:
             raise ValueError(f"rotations must be (n, 3, 3), got {rot.shape}")
         if tr.shape != (rot.shape[0], 3):
             raise ValueError(f"translations must be ({rot.shape[0]}, 3), got {tr.shape}")
+        bad = _non_finite_frames(rot, tr)
+        if bad.size:
+            raise ValueError(f"body {self.body_id}: non-finite value at frame {bad[0]}")
         bad = _check_invertible(rot)
         if bad.size:
             raise SingularRotationError(
@@ -113,6 +121,11 @@ class CaptureSession:
             raise ValueError(f"body ids must be 0..m-1 in order, got {ids}")
         if self.frame_count < 1:
             raise ValueError("frame_count must be at least 1")
+        for b in self.bodies:
+            if len(b) != self.frame_count:
+                raise ValueError(
+                    f"body {b.body_id}: {len(b)} frames, session has {self.frame_count}"
+                )
 
     @property
     def body_count(self) -> int:
@@ -140,12 +153,7 @@ class CaptureSession:
         return idx
 
 
-def load_session(
-    path,
-    unit_scale: float = 1.0,
-    orthonormal_check: bool = False,
-    sample_interval: Optional[float] = None,
-) -> CaptureSession:
+def load_session(path, unit_scale: float = 1.0) -> CaptureSession:
     """Read a transform-stream CSV into a session.
 
     Translations are multiplied by `unit_scale` on the way in, so a file
@@ -195,6 +203,12 @@ def load_session(
     for body in range(m):
         data = np.stack([cells[(frame, body)] for frame in range(n)])
         rot = data[:, :9].reshape(n, 3, 3)
+        bad = _non_finite_frames(rot, data[:, 9:])
+        if bad.size:
+            lineno = rows[(int(bad[0]), body)]
+            raise ParseError(
+                f"{path} row {lineno}: non-finite value (frame {bad[0]}, body {body})"
+            )
         tr = data[:, 9:] * unit_scale
         bad = _check_invertible(rot)
         if bad.size:
@@ -204,13 +218,7 @@ def load_session(
             )
         tracks.append(BodyTrack(body, rot, tr))
 
-    session = CaptureSession(
-        tuple(tracks), n, sample_interval=sample_interval, unit_scale=unit_scale
-    )
-    if orthonormal_check:
-        for msg in validate(session):
-            warnings.warn(msg)
-    return session
+    return CaptureSession(tuple(tracks), n, unit_scale=unit_scale)
 
 
 def write_session(path, session: CaptureSession):
@@ -265,10 +273,6 @@ def validate(session: CaptureSession) -> list[str]:
     """Advisory checks; returns human-readable warnings, never raises."""
     notes = []
     for body in session.bodies:
-        if len(body) != session.frame_count:
-            notes.append(
-                f"body {body.body_id}: {len(body)} frames, session says {session.frame_count}"
-            )
         errs = _ortho_errors(body.rotations)
         for k in np.nonzero(errs > ORTHO_WARN_ATOL)[0]:
             notes.append(

@@ -62,7 +62,7 @@ def _fmt_vec(v) -> str:
 
 def _load(args) -> CaptureSession:
     session = load_session(args.session, unit_scale=args.unit_scale)
-    if getattr(args, "labels", None):
+    if args.labels:
         session = with_labels(session, load_labels(args.labels))
     for message in validate_session(session):
         print(f"warning: {message}", file=sys.stderr)
@@ -258,7 +258,7 @@ def cmd_residuals(args) -> int:
     return 0
 
 
-def _add_load_flags(sub, labels: bool = True):
+def _add_load_flags(sub):
     sub.add_argument("session", help="transform-stream CSV")
     sub.add_argument(
         "--unit-scale",
@@ -266,8 +266,7 @@ def _add_load_flags(sub, labels: bool = True):
         default=1.0,
         help="multiply translations by this factor on load",
     )
-    if labels:
-        sub.add_argument("--labels", help="body,label sidecar CSV")
+    sub.add_argument("--labels", help="body,label sidecar CSV")
 
 
 def _add_rank_tol(sub):

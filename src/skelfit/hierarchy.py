@@ -10,45 +10,37 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .capture import CaptureSession
 from .errors import IncompleteMatrixError, ParseError, SkelfitError
-from .solver import DEFAULT_RANK_TOL, JointFit, solve_joint
+from .solver import DEFAULT_RANK_TOL, solve_joint
 
 DEFAULT_LOOP_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
 class FitMatrix:
-    """Symmetric table of pairwise fit errors plus the fits themselves.
+    """Symmetric table of pairwise fit errors.
 
     epsilon[i, j] is the fit error between bodies i and j in meters; the
-    diagonal is undefined (NaN).  fits holds one JointFit per unordered
-    pair, keyed (min, max) with the smaller index as child.
+    diagonal is undefined (NaN).  Only the errors are kept: the spanning
+    tree needs nothing else, and fit_skeleton solves its edges again.
     """
 
     epsilon: np.ndarray
-    fits: dict[tuple[int, int], JointFit] = field(repr=False)
 
     @property
     def size(self) -> int:
         return self.epsilon.shape[0]
 
-    def pair(self, i: int, j: int) -> JointFit:
-        if i == j:
-            raise KeyError("diagonal entries are undefined")
-        return self.fits[(min(i, j), max(i, j))]
-
     def is_complete(self) -> bool:
-        m = self.size
-        off_diag = ~np.eye(m, dtype=bool)
-        return bool(np.isfinite(self.epsilon[off_diag]).all()) and all(
-            (i, j) in self.fits for i in range(m) for j in range(i + 1, m)
-        )
+        """True when every off-diagonal error is finite."""
+        off_diag = ~np.eye(self.size, dtype=bool)
+        return bool(np.isfinite(self.epsilon[off_diag]).all())
 
 
 def build_fit_matrix(
@@ -59,16 +51,14 @@ def build_fit_matrix(
     if m < 2:
         raise ValueError("need at least two bodies")
     eps = np.full((m, m), np.nan)
-    fits: dict[tuple[int, int], JointFit] = {}
     for i in range(m):
         for j in range(i + 1, m):
             try:
                 fit = solve_joint(session, i, j, rank_tol)
             except SkelfitError as exc:
                 raise type(exc)(f"pair ({i}, {j}): {exc}") from exc
-            fits[(i, j)] = fit
             eps[i, j] = eps[j, i] = fit.epsilon
-    return FitMatrix(epsilon=eps, fits=fits)
+    return FitMatrix(epsilon=eps)
 
 
 @dataclass(frozen=True)
@@ -122,8 +112,7 @@ def infer_hierarchy(
     tree-edge error are returned as possible unmodeled loops.
     """
     m = fits.size
-    off_diag = ~np.eye(m, dtype=bool)
-    if not np.isfinite(fits.epsilon[off_diag]).all():
+    if not fits.is_complete():
         raise IncompleteMatrixError("fit matrix has missing entries")
     if root is None:
         root = 0

@@ -112,23 +112,11 @@ class Transform:
         return False
 
 
-def apply(T: Transform, x) -> np.ndarray:
-    return T.apply(x)
-
-
-def invert(T: Transform) -> Transform:
-    return T.invert()
-
-
-def compose(A: Transform, B: Transform) -> Transform:
-    return A.compose(B)
-
-
 def relative(world_i: Transform, world_j: Transform) -> Transform:
     """Placement of frame i seen from frame j, given both world placements.
 
-    Equals invert(world_j) composed with world_i, so that
-    compose(world_j, relative(world_i, world_j)) == world_i.
+    Equals world_j.invert() composed with world_i, so that
+    world_j.compose(relative(world_i, world_j)) == world_i.
     """
     return world_j.invert().compose(world_i)
 

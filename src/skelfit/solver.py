@@ -70,11 +70,7 @@ class JointFit:
 def _tracks(session: CaptureSession, child: int, parent: int):
     if child == parent:
         raise ValueError("child and parent must differ")
-    tc, tp = session.track(child), session.track(parent)
-    n = session.frame_count
-    if len(tc) != n or len(tp) != n:
-        raise ValueError("track lengths disagree with the session frame count")
-    return tc, tp
+    return session.track(child), session.track(parent)
 
 
 def assemble_system(session: CaptureSession, child: int, parent: int):
@@ -169,11 +165,6 @@ def solve_joint(
     )
 
 
-def residual_timeline(fit: JointFit) -> list[tuple[int, float]]:
-    """Per-frame residual norms in meters, paired with frame indices."""
-    return [(k, float(r)) for k, r in enumerate(fit.residual_per_frame)]
-
-
 @dataclass(frozen=True)
 class ResidualSummary:
     min: float
@@ -231,8 +222,8 @@ def write_residual_csv(path, fit: JointFit):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame", "residual_m"])
-        for k, r in residual_timeline(fit):
-            writer.writerow([k, repr(r)])
+        for k, r in enumerate(fit.residual_per_frame):
+            writer.writerow([k, repr(float(r))])
 
 
 def read_residual_csv(path) -> np.ndarray:

@@ -192,7 +192,7 @@ def test_5_mst_oracle(capsys):
         exhaustive = min(
             math.fsum(sorted(W[i, j] for i, j in t)) for t in trees
         )
-        result = infer_hierarchy(FitMatrix(epsilon=W, fits={}))
+        result = infer_hierarchy(FitMatrix(epsilon=W))
         gap = abs(result.total_epsilon - exhaustive)
         worst = max(worst, gap)
         agree += gap == 0.0

@@ -189,6 +189,23 @@ class TestModelInvariants:
         with pytest.raises(ValueError):
             BodyTrack(0, np.tile(np.eye(3), (2, 1, 1)), np.zeros((3, 3)))
 
+    def test_session_rejects_short_track(self):
+        R = np.tile(np.eye(3), (3, 1, 1))
+        short = BodyTrack(1, R[:2], np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="body 1: 2 frames"):
+            CaptureSession((BodyTrack(0, R, np.zeros((3, 3))), short), 3)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_value_names_body_and_frame(self, value):
+        R = np.tile(np.eye(3), (3, 1, 1))
+        R[1, 0, 2] = value
+        with pytest.raises(ValueError, match="body 4: non-finite value at frame 1"):
+            BodyTrack(4, R, np.zeros((3, 3)))
+        t = np.zeros((3, 3))
+        t[2, 1] = value
+        with pytest.raises(ValueError, match="body 4: non-finite value at frame 2"):
+            BodyTrack(4, np.tile(np.eye(3), (3, 1, 1)), t)
+
     def test_arrays_are_write_protected(self):
         session = small_session()
         with pytest.raises(ValueError):

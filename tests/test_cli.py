@@ -478,6 +478,19 @@ class TestExitCodes:
         assert main(["solve-joint", str(bad), "1", "0"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value, column", [("nan", 5), ("inf", 12)])
+    @pytest.mark.parametrize("command", ["solve-joint", "build-skeleton"])
+    def test_non_finite_cell(self, pair_csv, capsys, command, value, column):
+        path, _ = pair_csv
+        lines = path.read_text().splitlines()
+        cells = lines[6].split(",")
+        cells[column] = value
+        lines[6] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        args = [command, str(path)] + (["1", "0"] if command == "solve-joint" else [])
+        assert main(args) == 2
+        assert "row 7: non-finite value" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve-joint", str(tmp_path / "nope.csv"), "1", "0"]) == 4
         capsys.readouterr()

@@ -28,7 +28,7 @@ def random_weight_matrix(rng, m):
 
 
 def weight_only_matrix(W):
-    return FitMatrix(epsilon=W, fits={})
+    return FitMatrix(epsilon=W)
 
 
 class TestEnumerationOracle:
@@ -153,6 +153,7 @@ class TestValidation:
     def test_missing_entry_rejected(self):
         W = random_weight_matrix(np.random.default_rng(91), 4)
         W[1, 3] = W[3, 1] = np.nan
+        assert not weight_only_matrix(W).is_complete()
         with pytest.raises(IncompleteMatrixError):
             infer_hierarchy(weight_only_matrix(W))
 
@@ -193,14 +194,6 @@ class TestFitMatrixFromSession:
         assert np.array_equal(W[off], W.T[off])
         assert fits.is_complete()
 
-    def test_pair_accessor(self, noiseless):
-        _, _, _, fits = noiseless
-        fit = fits.pair(4, 2)
-        assert (fit.child, fit.parent) == (2, 4)
-        assert fits.pair(2, 4) is fit
-        with pytest.raises(KeyError):
-            fits.pair(1, 1)
-
     def test_true_edges_separate_from_rest(self, noiseless):
         _, _, truth, fits = noiseless
         true_edges = {
@@ -223,10 +216,6 @@ class TestFitMatrixFromSession:
         _, _, truth, fits = noiseless
         result = infer_hierarchy(fits)
         assert result.parent == parent_map_of(truth)
-
-    def test_incomplete_fits_dict_detected(self):
-        W = random_weight_matrix(np.random.default_rng(93), 3)
-        assert not weight_only_matrix(W).is_complete()
 
     def test_degenerate_pair_names_the_pair(self):
         spec = linkage_spec(frames=1, seed=34, sigma_t=0.0, sigma_r=0.0)

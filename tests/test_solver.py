@@ -17,7 +17,6 @@ from skelfit.solver import (
     read_residual_csv,
     residual_histogram,
     residual_summary,
-    residual_timeline,
     solve_joint,
     write_histogram_csv,
     write_residual_csv,
@@ -435,12 +434,6 @@ class TestResidualReports:
         )
         return solve_joint(noisy, 1, 0)
 
-    def test_timeline_matches_fit(self):
-        fit = self.noisy_fit()
-        timeline = residual_timeline(fit)
-        assert [k for k, _ in timeline] == list(range(200))
-        assert np.allclose([r for _, r in timeline], fit.residual_per_frame)
-
     def test_summary_stats(self):
         fit = self.noisy_fit()
         summary = residual_summary(fit)
@@ -476,6 +469,8 @@ class TestResidualReports:
         write_residual_csv(path, fit)
         back = read_residual_csv(path)
         assert back.tobytes() == fit.residual_per_frame.tobytes()
+        frames = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
+        assert frames == [str(k) for k in range(200)]
 
     def test_histogram_csv(self, tmp_path):
         fit = self.noisy_fit()
