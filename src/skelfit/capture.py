@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -25,30 +25,12 @@ from .errors import (
     ParseError,
     SingularRotationError,
 )
-from .rigid import DET_RTOL, ORTHO_WARN_ATOL, Transform
+from .rigid import is_non_finite, is_singular, orthonormality_error
 
 CSV_HEADER = "frame,body,r00,r01,r02,r10,r11,r12,r20,r21,r22,tx,ty,tz"
 
 SHORT_SESSION_FRAMES = 30  # advisory floor for a reliable fit
-
-
-def _check_invertible(rotations: np.ndarray):
-    """Vectorized singularity test; returns indices of bad frames."""
-    dets = np.linalg.det(rotations)
-    norms = np.sqrt((rotations**2).sum(axis=(1, 2)))
-    return np.nonzero(np.abs(dets) <= DET_RTOL * norms**3)[0]
-
-
-def _non_finite_frames(rotations: np.ndarray, translations: np.ndarray):
-    """Indices of frames holding a NaN or infinite value."""
-    ok = np.isfinite(rotations).all(axis=(1, 2)) & np.isfinite(translations).all(axis=1)
-    return np.nonzero(~ok)[0]
-
-
-def _ortho_errors(rotations: np.ndarray) -> np.ndarray:
-    """Per-frame max-norm deviation of R^T R from the identity."""
-    gram = np.einsum("nja,njb->nab", rotations, rotations)
-    return np.abs(gram - np.eye(3)).max(axis=(1, 2))
+ORTHO_WARN_ATOL = 1e-3  # advisory bound on sensor rotations' orthonormality
 
 
 @dataclass(frozen=True)
@@ -72,10 +54,10 @@ class BodyTrack:
             raise ValueError(f"rotations must be (n, 3, 3), got {rot.shape}")
         if tr.shape != (rot.shape[0], 3):
             raise ValueError(f"translations must be ({rot.shape[0]}, 3), got {tr.shape}")
-        bad = _non_finite_frames(rot, tr)
+        bad = np.flatnonzero(is_non_finite(rot, tr))
         if bad.size:
             raise ValueError(f"body {self.body_id}: non-finite value at frame {bad[0]}")
-        bad = _check_invertible(rot)
+        bad = np.flatnonzero(is_singular(rot))
         if bad.size:
             raise SingularRotationError(
                 f"body {self.body_id}: singular rotation at frame {bad[0]}"
@@ -85,24 +67,8 @@ class BodyTrack:
         object.__setattr__(self, "rotations", rot)
         object.__setattr__(self, "translations", tr)
 
-    @classmethod
-    def from_transforms(cls, body_id: int, frames: Sequence[Transform], label=None):
-        return cls(
-            body_id,
-            np.stack([f.R for f in frames]),
-            np.stack([f.t for f in frames]),
-            label=label,
-        )
-
     def __len__(self) -> int:
         return self.rotations.shape[0]
-
-    def transform(self, k: int) -> Transform:
-        return Transform(self.rotations[k], self.translations[k])
-
-    @property
-    def frames(self) -> list[Transform]:
-        return [self.transform(k) for k in range(len(self))]
 
 
 @dataclass(frozen=True)
@@ -112,7 +78,6 @@ class CaptureSession:
     bodies: tuple[BodyTrack, ...]
     frame_count: int
     sample_interval: Optional[float] = None
-    unit_scale: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "bodies", tuple(self.bodies))
@@ -203,14 +168,14 @@ def load_session(path, unit_scale: float = 1.0) -> CaptureSession:
     for body in range(m):
         data = np.stack([cells[(frame, body)] for frame in range(n)])
         rot = data[:, :9].reshape(n, 3, 3)
-        bad = _non_finite_frames(rot, data[:, 9:])
+        bad = np.flatnonzero(is_non_finite(rot, data[:, 9:]))
         if bad.size:
             lineno = rows[(int(bad[0]), body)]
             raise ParseError(
                 f"{path} row {lineno}: non-finite value (frame {bad[0]}, body {body})"
             )
         tr = data[:, 9:] * unit_scale
-        bad = _check_invertible(rot)
+        bad = np.flatnonzero(is_singular(rot))
         if bad.size:
             lineno = rows[(int(bad[0]), body)]
             raise SingularRotationError(
@@ -218,7 +183,7 @@ def load_session(path, unit_scale: float = 1.0) -> CaptureSession:
             )
         tracks.append(BodyTrack(body, rot, tr))
 
-    return CaptureSession(tuple(tracks), n, unit_scale=unit_scale)
+    return CaptureSession(tuple(tracks), n)
 
 
 def write_session(path, session: CaptureSession):
@@ -247,9 +212,14 @@ def load_labels(path) -> dict[int, str]:
             if len(row) != 2:
                 raise ParseError(f"{path} row {lineno}: expected 2 fields")
             try:
-                labels[int(row[0])] = row[1]
+                body = int(row[0])
             except ValueError as exc:
                 raise ParseError(f"{path} row {lineno}: {exc}") from None
+            if body in labels:
+                raise ParseError(f"{path} row {lineno}: body {body} listed twice")
+            if row[1] in labels.values():
+                raise ParseError(f"{path} row {lineno}: label {row[1]!r} names two bodies")
+            labels[body] = row[1]
     return labels
 
 
@@ -266,14 +236,14 @@ def with_labels(session: CaptureSession, labels: dict[int, str]) -> CaptureSessi
         BodyTrack(b.body_id, b.rotations, b.translations, labels.get(b.body_id, b.label))
         for b in session.bodies
     )
-    return CaptureSession(bodies, session.frame_count, session.sample_interval, session.unit_scale)
+    return CaptureSession(bodies, session.frame_count, session.sample_interval)
 
 
 def validate(session: CaptureSession) -> list[str]:
     """Advisory checks; returns human-readable warnings, never raises."""
     notes = []
     for body in session.bodies:
-        errs = _ortho_errors(body.rotations)
+        errs = orthonormality_error(body.rotations)
         for k in np.nonzero(errs > ORTHO_WARN_ATOL)[0]:
             notes.append(
                 f"body {body.body_id} frame {k}: rotation deviates from orthonormal "

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -258,11 +259,21 @@ def cmd_residuals(args) -> int:
     return 0
 
 
+def _finite_positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number")
+    return value
+
+
 def _add_load_flags(sub):
     sub.add_argument("session", help="transform-stream CSV")
     sub.add_argument(
         "--unit-scale",
-        type=float,
+        type=_finite_positive,
         default=1.0,
         help="multiply translations by this factor on load",
     )

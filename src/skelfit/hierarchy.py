@@ -184,9 +184,12 @@ def load_parent_map(path) -> dict[int, Optional[int]]:
             cell = row[1].strip() if len(row) > 1 else ""
             try:
                 body = int(row[0])
-                parent[body] = None if cell in ("", "world") else int(cell)
+                value = None if cell in ("", "world") else int(cell)
             except ValueError as exc:
                 raise ParseError(f"{path}, row {number}: {exc}") from exc
+            if body in parent:
+                raise ParseError(f"{path}, row {number}: body {body} listed twice")
+            parent[body] = value
     return parent
 
 

@@ -1,14 +1,16 @@
 """Rigid/affine transform algebra on 3x3 matrices plus translations.
 
-A placement is ``x_out = R @ x_in + t``.  R may be any invertible 3x3
-matrix; orthonormality is an optional, validated claim rather than a
-requirement, so noisy sensor rotations pass through untouched.  All
-lengths are meters.
+A placement is ``x_out = R @ x_in + t``.  R may be any finite, invertible
+3x3 matrix; orthonormality is not required, so noisy sensor rotations
+pass through untouched.  All lengths are meters.
+
+The validity rules for rotational components live here once, for one
+matrix or a stack of frames: `is_non_finite`, `is_singular` and
+`orthonormality_error`.
 """
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,10 +19,26 @@ from .errors import SingularRotationError
 # |det R| must exceed this times ||R||_F^3 (scale-free singularity test).
 DET_RTOL = 1e-12
 
-# Orthonormality: hard bound for the `orthonormal` flag, loose bound for
-# advisory warnings on sensor data.
-ORTHO_ATOL = 1e-6
-ORTHO_WARN_ATOL = 1e-3
+
+def is_non_finite(R: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """True per frame where R (..., 3, 3) or t (..., 3) holds a NaN or inf."""
+    return ~(np.isfinite(R).all(axis=(-2, -1)) & np.isfinite(t).all(axis=-1))
+
+
+def is_singular(R: np.ndarray) -> np.ndarray:
+    """True per frame where |det R| <= DET_RTOL * ||R||_F^3; R is (..., 3, 3).
+
+    R must be finite (check with `is_non_finite` first).
+    """
+    dets = np.linalg.det(R)
+    norms = np.sqrt((R**2).sum(axis=(-2, -1)))
+    return np.abs(dets) <= DET_RTOL * norms**3
+
+
+def orthonormality_error(R: np.ndarray) -> np.ndarray:
+    """Max-norm deviation of R^T R from the identity, per frame of (..., 3, 3)."""
+    gram = np.einsum("...ja,...jb->...ab", R, R)
+    return np.abs(gram - np.eye(3)).max(axis=(-2, -1))
 
 
 def _as_matrix(R) -> np.ndarray:
@@ -37,11 +55,6 @@ def _as_vector(t) -> np.ndarray:
     return t
 
 
-def orthonormality_error(R: np.ndarray) -> float:
-    """Max-norm deviation of R^T R from the identity."""
-    return float(np.abs(R.T @ R - np.eye(3)).max())
-
-
 @dataclass(frozen=True)
 class Transform:
     """One rigid placement: rotational component R and translation t.
@@ -53,27 +66,22 @@ class Transform:
         |det R| <= 1e-12 * ||R||_F^3.
     t : (3,) array_like
         Translation in meters.
-    orthonormal : bool
-        Claim that R is a proper rotation; validated to 1e-6 max-norm
-        and det R > 0 when set.
+
+    Raises ValueError if R or t holds a NaN or infinite value.
     """
 
     R: np.ndarray
     t: np.ndarray
-    orthonormal: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         R = _as_matrix(self.R)
         t = _as_vector(self.t)
-        det = np.linalg.det(R)
-        if abs(det) <= DET_RTOL * np.linalg.norm(R) ** 3:
-            raise SingularRotationError(f"rotational component is singular (det={det:g})")
-        if self.orthonormal:
-            err = orthonormality_error(R)
-            if err > ORTHO_ATOL or det <= 0:
-                raise ValueError(
-                    f"claimed orthonormal but ||R^T R - I||_max = {err:g}, det = {det:g}"
-                )
+        if is_non_finite(R, t):
+            raise ValueError("transform holds a non-finite value")
+        if is_singular(R):
+            raise SingularRotationError(
+                f"rotational component is singular (det={np.linalg.det(R):g})"
+            )
         R.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "R", R)
@@ -81,7 +89,7 @@ class Transform:
 
     @classmethod
     def identity(cls) -> "Transform":
-        return cls(np.eye(3), np.zeros(3), orthonormal=True)
+        return cls(np.eye(3), np.zeros(3))
 
     def apply(self, x) -> np.ndarray:
         """Map a point through this placement: R @ x + t."""
@@ -90,26 +98,14 @@ class Transform:
     def invert(self) -> "Transform":
         """Inverse placement: (R^-1, R^-1 @ (-t))."""
         Rinv = np.linalg.inv(self.R)
-        return Transform(Rinv, Rinv @ (-self.t), orthonormal=self.orthonormal)
+        return Transform(Rinv, Rinv @ (-self.t))
 
     def compose(self, other: "Transform") -> "Transform":
         """Placement equal to applying `other` first, then self."""
-        return Transform(
-            self.R @ other.R,
-            self.R @ other.t + self.t,
-            orthonormal=self.orthonormal and other.orthonormal,
-        )
+        return Transform(self.R @ other.R, self.R @ other.t + self.t)
 
     def __matmul__(self, other: "Transform") -> "Transform":
         return self.compose(other)
-
-    def warn_if_not_orthonormal(self, label: str = "") -> bool:
-        """Advisory check for inputs that claim to be rotations."""
-        err = orthonormality_error(self.R)
-        if err > ORTHO_WARN_ATOL:
-            warnings.warn(f"rotation {label} deviates from orthonormal by {err:g}")
-            return True
-        return False
 
 
 def relative(world_i: Transform, world_j: Transform) -> Transform:

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
 from .capture import BodyTrack, CaptureSession
-from .errors import MissingRotationError, NotAdjacentError
+from .errors import MissingRotationError, NotAdjacentError, ParseError
 from .hierarchy import HierarchyResult, build_fit_matrix, infer_hierarchy
-from .rigid import Transform
 from .solver import DEFAULT_RANK_TOL, Classification, solve_joint
 
 ParentMap = Mapping[int, Optional[int]]
@@ -169,18 +168,6 @@ def adjacent_joint_pairs(model: SkeletonModel) -> list[tuple[int, int]]:
     return pairs
 
 
-def _root_arrays(root_world) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(root_world, BodyTrack):
-        return root_world.rotations, root_world.translations
-    if isinstance(root_world, tuple) and len(root_world) == 2:
-        return (
-            np.asarray(root_world[0], dtype=np.float64),
-            np.asarray(root_world[1], dtype=np.float64),
-        )
-    frames: Sequence[Transform] = list(root_world)
-    return np.stack([f.R for f in frames]), np.stack([f.t for f in frames])
-
-
 def _chain_world(
     model: SkeletonModel,
     root_R: np.ndarray,
@@ -211,21 +198,21 @@ def _chain_world(
 
 def forward_kinematics(
     model: SkeletonModel,
-    root_world,
+    root_world: tuple[np.ndarray, np.ndarray],
     joint_rotations: Mapping[int, np.ndarray],
     labels: Optional[dict[int, str]] = None,
 ) -> CaptureSession:
     """Chain joint rotations from the root into world transforms.
 
-    root_world supplies the root body's placement per frame (a
-    BodyTrack, a sequence of Transforms, or an (n,3,3)/(n,3) pair).
+    root_world supplies the root body's placement per frame as an
+    (R, t) pair of (n, 3, 3) and (n, 3) arrays.
     joint_rotations maps each non-root body to its (n, 3, 3) per-frame
     rotation relative to the parent.  In the output, child and parent
     map their copies of every joint to identical world points.
 
     The model must cover bodies 0..m-1 so the result forms a session.
     """
-    root_R, root_t = _root_arrays(root_world)
+    root_R, root_t = (np.asarray(a, dtype=np.float64) for a in root_world)
     world_R, world_t = _chain_world(model, root_R, root_t, joint_rotations)
     if sorted(world_R) != list(range(len(world_R))):
         raise ValueError(
@@ -293,12 +280,7 @@ def reconstruct(
             tracks.append(BodyTrack(body, world_R[body], world_t[body], label=old.label))
         else:
             tracks.append(session.bodies[body])
-    return CaptureSession(
-        tuple(tracks),
-        session.frame_count,
-        sample_interval=session.sample_interval,
-        unit_scale=session.unit_scale,
-    )
+    return CaptureSession(tuple(tracks), session.frame_count, session.sample_interval)
 
 
 def joint_gaps(model: SkeletonModel, session: CaptureSession) -> dict[int, np.ndarray]:
@@ -356,29 +338,48 @@ def skeleton_to_dict(model: SkeletonModel) -> dict:
     return {"root": model.root, "bodies": bodies}
 
 
+def _vector3(value) -> np.ndarray:
+    v = np.array(value, dtype=np.float64)
+    if v.shape != (3,) or not np.isfinite(v).all():
+        raise ValueError(f"{value!r} is not a finite 3-vector")
+    return v
+
+
+def _field(entry: dict, key: str, where: str, convert):
+    """convert(entry[key]); a missing key or bad value raises ParseError."""
+    if not isinstance(entry, dict) or key not in entry:
+        raise ParseError(f"{where}: missing key {key!r}")
+    try:
+        return convert(entry[key])
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: bad {key}: {exc}") from None
+
+
 def dict_to_skeleton(data: dict) -> SkeletonModel:
-    root = int(data["root"])
+    """Inverse of skeleton_to_dict; ParseError names the body and field at fault."""
+    root = _field(data, "root", "skeleton", int)
     joints: dict[int, Joint] = {}
     labels: dict[int, str] = {}
-    for entry in data["bodies"]:
-        body = int(entry["id"])
+    for entry in _field(data, "bodies", "skeleton", list):
+        body = _field(entry, "id", "body entry", int)
+        where = f"body {body}"
         if entry.get("label") is not None:
             labels[body] = entry["label"]
         if entry.get("parent") is None:
             continue
         joints[body] = Joint(
             body=body,
-            parent=int(entry["parent"]),
-            c=np.asarray(entry["c"], dtype=np.float64),
-            l=np.asarray(entry["l"], dtype=np.float64),
-            epsilon=float(entry["epsilon_m"]),
-            classification=Classification(entry["classification"]),
+            parent=_field(entry, "parent", where, int),
+            c=_field(entry, "c", where, _vector3),
+            l=_field(entry, "l", where, _vector3),
+            epsilon=_field(entry, "epsilon_m", where, float),
+            classification=_field(entry, "classification", where, Classification),
             axis_child=None
             if entry.get("axis_child") is None
-            else np.asarray(entry["axis_child"], dtype=np.float64),
+            else _field(entry, "axis_child", where, _vector3),
             axis_parent=None
             if entry.get("axis_parent") is None
-            else np.asarray(entry["axis_parent"], dtype=np.float64),
+            else _field(entry, "axis_parent", where, _vector3),
         )
     return SkeletonModel(root=root, joints=joints, labels=labels or None)
 

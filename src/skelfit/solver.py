@@ -226,13 +226,6 @@ def write_residual_csv(path, fit: JointFit):
             writer.writerow([k, repr(float(r))])
 
 
-def read_residual_csv(path) -> np.ndarray:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return np.array([float(row[1]) for row in reader if row])
-
-
 def write_histogram_csv(path, hist: ResidualHistogram):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -45,6 +45,26 @@ def rows_of(path):
 
 
 class TestRoundTrip:
+    def test_golden_bytes(self, tmp_path):
+        awkward = [5e-324, 1.7976931348623157e308, 0.1 + 0.2]
+        R = np.tile(np.eye(3), (2, 1, 1))
+        R[:, 0, 1] = -0.0
+        bodies = (
+            BodyTrack(0, R, [awkward, [-0.0, 0.0, 1.0]]),
+            BodyTrack(1, np.tile(np.eye(3), (2, 1, 1)), [[-0.0] * 3, awkward]),
+        )
+        path = tmp_path / "s.csv"
+        write_session(path, CaptureSession(bodies, 2))
+        assert path.read_bytes() == (
+            CSV_HEADER.encode() + b"\n"
+            b"0,0,1.0,-0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0,"
+            b"5e-324,1.7976931348623157e+308,0.30000000000000004\n"
+            b"0,1,1.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0,-0.0,-0.0,-0.0\n"
+            b"1,0,1.0,-0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0,-0.0,0.0,1.0\n"
+            b"1,1,1.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0,"
+            b"5e-324,1.7976931348623157e+308,0.30000000000000004\n"
+        )
+
     def test_well_formed_file_loads(self, tmp_path):
         path = tmp_path / "s.csv"
         write_session(path, small_session(n=3, m=2))
@@ -107,7 +127,6 @@ class TestRoundTrip:
         write_session(path, CaptureSession(bodies, 2))
         session = load_session(path, unit_scale=0.01)
         assert np.allclose(session.track(1).translations[:, 0], 0.565)
-        assert session.unit_scale == 0.01
 
     def test_unit_scale_one_is_numerically_identity(self, tmp_path):
         session = small_session(n=3, m=2, seed=4)
@@ -152,9 +171,19 @@ class TestParseErrors:
         path = tmp_path / "s.csv"
         write_session(path, small_session(n=2, m=2))
         rows = rows_of(path)
-        rows.append(rows[1])
+        rows.append(rows[3])
         path.write_text("\n".join(",".join(r) for r in rows) + "\n")
-        with pytest.raises(DuplicateCellError):
+        with pytest.raises(DuplicateCellError, match="row 6: frame=1, body=0") as err:
+            load_session(path)
+        assert (err.value.row, err.value.frame, err.value.body) == (6, 1, 0)
+
+    def test_first_missing_cell_in_body_major_order(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_session(path, small_session(n=3, m=2))
+        rows = rows_of(path)
+        gone = (["0", "1"], ["2", "0"])  # frame-major order would report frame 0 first
+        path.write_text("\n".join(",".join(r) for r in rows if r[:2] not in gone) + "\n")
+        with pytest.raises(MissingCellError, match="frame=2, body=0"):
             load_session(path)
 
     def test_singular_rotation_names_row(self, tmp_path):
@@ -211,12 +240,6 @@ class TestModelInvariants:
         with pytest.raises(ValueError):
             session.track(0).rotations[0, 0, 0] = 2.0
 
-    def test_transform_accessor(self):
-        session = small_session(seed=5)
-        T = session.track(1).transform(2)
-        assert np.array_equal(T.R, session.track(1).rotations[2])
-        assert np.array_equal(T.t, session.track(1).translations[2])
-
     def test_resolve_body(self):
         session = with_labels(small_session(), {0: "base", 1: "tip"})
         assert session.resolve_body("tip") == 1
@@ -237,6 +260,20 @@ class TestLabels:
         path = tmp_path / "labels.csv"
         path.write_text("id,name\n0,pelvis\n")
         with pytest.raises(ParseError):
+            load_labels(path)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("1,b\n1,c\n", "row 3: body 1 listed twice"),
+            ("1,b\n2,b\n", "row 3: label 'b' names two bodies"),
+        ],
+        ids=["repeated-body", "repeated-label"],
+    )
+    def test_duplicate_rows_rejected(self, tmp_path, rows, message):
+        path = tmp_path / "labels.csv"
+        path.write_text("body,label\n" + rows)
+        with pytest.raises(ParseError, match=f"labels.csv {message}"):
             load_labels(path)
 
     def test_with_labels(self):

@@ -8,7 +8,13 @@ import pytest
 from skelfit.capture import load_session, write_labels, write_session
 from skelfit.cli import main
 from skelfit.hierarchy import write_parent_map
-from skelfit.skeleton import fit_skeleton, joint_gaps, load_skeleton, save_skeleton
+from skelfit.skeleton import (
+    fit_skeleton,
+    joint_gaps,
+    load_skeleton,
+    save_skeleton,
+    skeleton_to_dict,
+)
 from skelfit.solver import solve_joint
 from skelfit.synth import generate, linkage_spec, rigid_pair_spec
 
@@ -466,9 +472,8 @@ class TestResiduals:
         assert len(resid_path.read_text().splitlines()) == 301
         assert len(hist_path.read_text().strip().splitlines()) == 13
         # the CSV carries the in-process residuals bit for bit
-        from skelfit.solver import read_residual_csv
-
-        assert read_residual_csv(resid_path).tobytes() == fit.residual_per_frame.tobytes()
+        back = np.loadtxt(resid_path, delimiter=",", skiprows=1, usecols=1, ndmin=1)
+        assert back.tobytes() == fit.residual_per_frame.tobytes()
 
 
 class TestExitCodes:
@@ -527,6 +532,44 @@ class TestExitCodes:
         out_path = tmp_path / "out.csv"
         assert main(["reconstruct", str(path), str(skel_path), str(out_path)]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda data: data.pop("root"), "skeleton: missing key 'root'"),
+            (lambda data: data["bodies"][1].update(c=[0.1, 0.2]), "body 1: bad c: "),
+            (
+                lambda data: data["bodies"][1].update(c=[0.1, float("nan"), 0.0]),
+                "body 1: bad c: ",
+            ),
+            (lambda data: data["bodies"].append(7), "body entry: missing key 'id'"),
+        ],
+        ids=["no-root", "short-c", "nan-c", "not-an-object"],
+    )
+    def test_malformed_skeleton_json(self, pair_csv, tmp_path, capsys, damage, message):
+        path, session = pair_csv
+        data = skeleton_to_dict(fit_skeleton(session, hierarchy={0: None, 1: 0}))
+        damage(data)
+        skel_path = tmp_path / "skeleton.json"
+        skel_path.write_text(json.dumps(data))
+        code = main(["reconstruct", str(path), str(skel_path), str(tmp_path / "out.csv")])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_unit_scale_must_be_finite_and_positive(self, pair_csv, capsys, value):
+        path, _ = pair_csv
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-joint", str(path), "1", "0", f"--unit-scale={value}"])
+        assert exc.value.code == 2
+        assert "argument --unit-scale" in capsys.readouterr().err
+
+    def test_duplicate_hierarchy_row(self, pair_csv, tmp_path, capsys):
+        path, _ = pair_csv
+        parents = tmp_path / "parents.csv"
+        parents.write_text("body,parent\n0,world\n1,0\n1,0\n")
+        assert main(["build-skeleton", str(path), "--hierarchy", str(parents)]) == 2
+        assert f"{parents}, row 4: body 1 listed twice" in capsys.readouterr().err
 
     def test_bad_spec_json(self, tmp_path, capsys):
         spec_path = tmp_path / "broken.json"

@@ -136,15 +136,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             Transform(np.eye(3), np.zeros(2))
 
-    def test_orthonormal_claim_checked(self):
-        with pytest.raises(ValueError):
-            Transform(1.1 * np.eye(3), np.zeros(3), orthonormal=True)
-        Transform(np.eye(3), np.zeros(3), orthonormal=True)
-
-    def test_orthonormal_claim_rejects_reflections(self):
-        reflection = np.diag([1.0, 1.0, -1.0])
-        with pytest.raises(ValueError):
-            Transform(reflection, np.zeros(3), orthonormal=True)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, value):
+        R = np.eye(3)
+        R[1, 2] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            Transform(R, np.zeros(3))
+        with pytest.raises(ValueError, match="non-finite"):
+            Transform(np.eye(3), np.array([0.0, value, 0.0]))
 
     def test_general_invertible_matrix_accepted(self):
         # scaled frames are legal, only singular ones are not
@@ -179,3 +178,5 @@ class TestRotationAboutAxis:
 def test_orthonormality_error_scale():
     assert orthonormality_error(np.eye(3)) == 0.0
     assert orthonormality_error(1.1 * np.eye(3)) == pytest.approx(0.21, abs=1e-12)
+    stack = np.stack([np.eye(3), 1.1 * np.eye(3)])
+    assert orthonormality_error(stack) == pytest.approx([0.0, 0.21], abs=1e-12)

@@ -6,7 +6,7 @@ import pytest
 
 from skelfit.capture import BodyTrack, CaptureSession
 from skelfit.errors import MissingRotationError, NotAdjacentError
-from skelfit.rigid import Transform, orthonormality_error, rotation_about_axis
+from skelfit.rigid import orthonormality_error, rotation_about_axis
 from skelfit.skeleton import (
     Joint,
     SkeletonModel,
@@ -236,24 +236,6 @@ class TestForwardKinematics:
         )
         for gaps in joint_gaps(model, session).values():
             assert (gaps < 1e-12).all()
-
-    def test_root_world_input_forms_agree(self):
-        rng = np.random.default_rng(44)
-        model = self.single_joint_model((0.1, 0.0, 0.0), (0.3, 0.0, 0.0))
-        n = 6
-        R, t = haar_rotations(rng, n), rng.normal(size=(n, 3))
-        rels = haar_rotations(rng, n)
-        by_tuple = forward_kinematics(model, (R, t), {1: rels})
-        by_track = forward_kinematics(model, BodyTrack(0, R, t), {1: rels})
-        by_transforms = forward_kinematics(
-            model, [Transform(R[k], t[k]) for k in range(n)], {1: rels}
-        )
-        for other in (by_track, by_transforms):
-            for b in (0, 1):
-                assert np.array_equal(other.track(b).rotations, by_tuple.track(b).rotations)
-                assert np.array_equal(
-                    other.track(b).translations, by_tuple.track(b).translations
-                )
 
     def test_missing_rotations_detected(self):
         model = self.single_joint_model((0.1, 0.0, 0.0), (0.3, 0.0, 0.0))
