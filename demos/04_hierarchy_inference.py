@@ -33,7 +33,7 @@ result = infer_hierarchy(fits)
 print("\ninferred tree edges:", result.tree_edges)
 print("parent map:", result.parent)
 
-model = fit_skeleton(session, hierarchy=result)
+model = fit_skeleton(session, hierarchy=result.parent)
 print("\nlimb lengths from the fitted joints:")
 for a, b, label in ((1, 2, "neck to left shoulder"), (2, 3, "between shoulders"), (2, 4, "left upper arm")):
     print(f"  {label}: {limb_length(model, a, b) * 100:.1f} cm")

@@ -14,6 +14,7 @@ exactly once.  An optional sidecar maps body indices to labels:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -122,8 +123,11 @@ def load_session(path, unit_scale: float = 1.0) -> CaptureSession:
     """Read a transform-stream CSV into a session.
 
     Translations are multiplied by `unit_scale` on the way in, so a file
-    recorded in centimeters loads to meters with unit_scale=0.01.
+    recorded in centimeters loads to meters with unit_scale=0.01; it must
+    be finite and positive.
     """
+    if not 0.0 < unit_scale < math.inf:
+        raise ValueError(f"unit_scale must be finite and positive, got {unit_scale!r}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:

@@ -126,16 +126,17 @@ def cmd_build_skeleton(args) -> int:
     session = _load(args)
     unused = []
     if args.hierarchy:
-        model = fit_skeleton(
-            session, hierarchy=load_parent_map(args.hierarchy), rank_tol=args.rank_tol
-        )
+        parents = load_parent_map(args.hierarchy)
     else:
+        # inferred here rather than in fit_skeleton: only the CLI writes
+        # the epsilon table and warns about possible loops
         fits = build_fit_matrix(session, rank_tol=args.rank_tol)
         if args.fit_matrix:
             write_fit_matrix_csv(args.fit_matrix, fits)
         result = infer_hierarchy(fits, root=args.root)
         unused = result.unused_low_error_edges
-        model = fit_skeleton(session, hierarchy=result, rank_tol=args.rank_tol)
+        parents = result.parent
+    model = fit_skeleton(session, hierarchy=parents, rank_tol=args.rank_tol)
 
     print("joints:")
     for body in sorted(model.joints):

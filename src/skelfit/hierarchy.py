@@ -99,17 +99,14 @@ class _UnionFind:
         return True
 
 
-def infer_hierarchy(
-    fits: FitMatrix,
-    root: Optional[int] = None,
-    loop_factor: float = DEFAULT_LOOP_FACTOR,
-) -> HierarchyResult:
+def infer_hierarchy(fits: FitMatrix, root: Optional[int] = None) -> HierarchyResult:
     """Minimum spanning tree over the fit errors, oriented from a root.
 
-    Kruskal's algorithm with ties broken by the lexicographically
-    smallest (i, j) pair, so the result is identical across platforms.
-    Non-tree edges with error at most loop_factor times the largest
-    tree-edge error are returned as possible unmodeled loops.
+    root defaults to body 0.  Kruskal's algorithm with ties broken by
+    the lexicographically smallest (i, j) pair, so the result is
+    identical across platforms.  Non-tree edges with error at most
+    DEFAULT_LOOP_FACTOR times the largest tree-edge error are returned
+    as possible unmodeled loops.
     """
     m = fits.size
     if not fits.is_complete():
@@ -147,7 +144,7 @@ def infer_hierarchy(
 
     weights = sorted(float(fits.epsilon[i, j]) for i, j in tree)
     total = math.fsum(weights)
-    threshold = loop_factor * weights[-1] if weights else 0.0
+    threshold = DEFAULT_LOOP_FACTOR * weights[-1] if weights else 0.0
     unused = [(i, j, w) for w, i, j in rest if w <= threshold]
     unused.sort(key=lambda e: (e[2], e[0], e[1]))
 

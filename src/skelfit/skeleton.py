@@ -10,17 +10,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .capture import BodyTrack, CaptureSession
 from .errors import MissingRotationError, NotAdjacentError, ParseError
-from .hierarchy import HierarchyResult, build_fit_matrix, infer_hierarchy
+from .hierarchy import build_fit_matrix, infer_hierarchy
 from .solver import DEFAULT_RANK_TOL, Classification, solve_joint
-
-ParentMap = Mapping[int, Optional[int]]
-HierarchySource = Union[None, HierarchyResult, ParentMap]
 
 
 @dataclass(frozen=True)
@@ -86,34 +83,23 @@ class SkeletonModel:
         return str(body)
 
 
-def _normalize_parent_map(hierarchy: HierarchySource) -> tuple[int, dict[int, int]]:
-    """Return (root, child->parent) from any accepted hierarchy source."""
-    if isinstance(hierarchy, HierarchyResult):
-        mapping = hierarchy.parent
-    else:
-        mapping = dict(hierarchy)
-    roots = [b for b, p in mapping.items() if p is None]
-    if len(roots) != 1:
-        raise ValueError(f"parent map must have exactly one root, found {roots}")
-    return roots[0], {b: p for b, p in mapping.items() if p is not None}
-
-
 def fit_skeleton(
     session: CaptureSession,
-    hierarchy: HierarchySource = None,
+    hierarchy: Optional[Mapping[int, Optional[int]]] = None,
     rank_tol: float = DEFAULT_RANK_TOL,
-    root: Optional[int] = None,
 ) -> SkeletonModel:
     """Fit one joint per non-root body against its parent.
 
-    With hierarchy=None the parent map is inferred from the data first;
-    a HierarchyResult or an explicit {body: parent-or-None} map skips
-    inference.
+    hierarchy maps every body to its parent, with None for the one root.
+    With hierarchy=None the map is inferred first: the minimum spanning
+    tree of the pairwise fit errors, rooted at body 0.
     """
     if hierarchy is None:
-        fits = build_fit_matrix(session, rank_tol)
-        hierarchy = infer_hierarchy(fits, root=root)
-    tree_root, parents = _normalize_parent_map(hierarchy)
+        hierarchy = infer_hierarchy(build_fit_matrix(session, rank_tol)).parent
+    roots = [b for b, p in hierarchy.items() if p is None]
+    if len(roots) != 1:
+        raise ValueError(f"parent map must have exactly one root, found {roots}")
+    parents = {b: p for b, p in hierarchy.items() if p is not None}
 
     joints: dict[int, Joint] = {}
     for body in sorted(parents):
@@ -129,7 +115,7 @@ def fit_skeleton(
             axis_parent=fit.hinge_axis_parent,
         )
     labels = {b.body_id: b.label for b in session.bodies if b.label is not None}
-    return SkeletonModel(root=tree_root, joints=joints, labels=labels or None)
+    return SkeletonModel(root=roots[0], joints=joints, labels=labels or None)
 
 
 def limb_length(model: SkeletonModel, joint_a: int, joint_b: int) -> float:
@@ -303,19 +289,7 @@ def skeleton_to_dict(model: SkeletonModel) -> dict:
     for body in model.bodies:
         label = model.labels.get(body) if model.labels else None
         if body == model.root:
-            bodies.append(
-                {
-                    "id": body,
-                    "label": label,
-                    "parent": None,
-                    "c": [0.0, 0.0, 0.0],
-                    "l": [0.0, 0.0, 0.0],
-                    "epsilon_m": 0.0,
-                    "classification": str(Classification.SPHERICAL),
-                    "axis_child": None,
-                    "axis_parent": None,
-                }
-            )
+            bodies.append({"id": body, "label": label, "parent": None})
             continue
         joint = model.joints[body]
         bodies.append(
@@ -366,6 +340,7 @@ def dict_to_skeleton(data: dict) -> SkeletonModel:
         if entry.get("label") is not None:
             labels[body] = entry["label"]
         if entry.get("parent") is None:
+            # older files also gave the root c, l, epsilon_m and so on
             continue
         joints[body] = Joint(
             body=body,

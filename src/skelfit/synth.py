@@ -82,6 +82,8 @@ class Excitation:
             raise InvalidSpecError("max_angle must be positive when given")
         if self.axis is not None:
             axis = _as_vector(self.axis, "axis")
+            if not np.isfinite(axis).all():
+                raise InvalidSpecError("hinge axis must be finite")
             if np.linalg.norm(axis) < 1e-12:
                 raise InvalidSpecError("hinge axis must be nonzero")
             object.__setattr__(self, "axis", axis)
@@ -89,6 +91,8 @@ class Excitation:
             mount = np.array(self.mount, dtype=np.float64)
             if mount.shape != (3, 3):
                 raise InvalidSpecError("mount must be a 3x3 rotation")
+            if not np.isfinite(mount).all():
+                raise InvalidSpecError("mount must be finite")
             if orthonormality_error(mount) > 1e-6 or np.linalg.det(mount) < 0:
                 raise InvalidSpecError("mount must be a proper rotation")
             mount.setflags(write=False)
@@ -114,10 +118,6 @@ class Excitation:
         if self.kind == "rigid":
             return np.tile(mount, (n, 1, 1))
         if self.kind == "scripted":
-            if self.rotations.shape[0] != n:
-                raise InvalidSpecError(
-                    f"scripted rotations cover {self.rotations.shape[0]} frames, need {n}"
-                )
             return mount @ self.rotations
         if self.kind == "hinge":
             span = self.max_angle if self.max_angle is not None else math.pi
@@ -198,6 +198,9 @@ class SynthBody:
 
 @dataclass(frozen=True)
 class SynthSpec:
+    """A whole figure; construction raises InvalidSpecError unless
+    generate() can play it."""
+
     bodies: tuple[SynthBody, ...]
     frame_count: int
     seed: int = 0
@@ -207,50 +210,46 @@ class SynthSpec:
     sample_interval: Optional[float] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "bodies", tuple(self.bodies))
+        bodies = tuple(self.bodies)
+        object.__setattr__(self, "bodies", bodies)
+        if not bodies:
+            raise InvalidSpecError("spec has no bodies")
+        ids = [b.body_id for b in bodies]
+        if ids != list(range(len(ids))):
+            raise InvalidSpecError(f"body ids must be 0..m-1 in order, got {ids}")
+        roots = [b.body_id for b in bodies if b.parent is None]
+        if len(roots) != 1:
+            raise InvalidSpecError(f"spec must have exactly one root, found {roots}")
+        if self.frame_count < 1:
+            raise InvalidSpecError("frame_count must be at least 1")
+        if not self.unit_distortion > 0.0:
+            raise InvalidSpecError("unit_distortion must be positive")
+        root = roots[0]
+        for body in bodies:
+            if body.body_id != root and not 0 <= body.parent < len(ids):
+                raise InvalidSpecError(
+                    f"body {body.body_id}: parent {body.parent} out of range"
+                )
+        for body in bodies:
+            if body.body_id == root:
+                continue
+            seen = {body.body_id}
+            node = body.parent
+            while node != root:
+                if node in seen:
+                    raise InvalidSpecError(f"body {body.body_id} is caught in a parent cycle")
+                seen.add(node)
+                node = bodies[node].parent
+            exc = body.excitation
+            if exc.kind == "scripted" and exc.rotations.shape[0] != self.frame_count:
+                raise InvalidSpecError(
+                    f"body {body.body_id}: scripted rotations cover "
+                    f"{exc.rotations.shape[0]} frames, need {self.frame_count}"
+                )
 
     @property
     def root(self) -> int:
-        for body in self.bodies:
-            if body.parent is None:
-                return body.body_id
-        raise InvalidSpecError("spec has no root body")
-
-
-def validate(spec: SynthSpec):
-    """Raise InvalidSpecError unless the spec can be generated."""
-    if not spec.bodies:
-        raise InvalidSpecError("spec has no bodies")
-    ids = [b.body_id for b in spec.bodies]
-    if ids != list(range(len(ids))):
-        raise InvalidSpecError(f"body ids must be 0..m-1 in order, got {ids}")
-    roots = [b.body_id for b in spec.bodies if b.parent is None]
-    if len(roots) != 1:
-        raise InvalidSpecError(f"spec must have exactly one root, found {roots}")
-    if spec.frame_count < 1:
-        raise InvalidSpecError("frame_count must be at least 1")
-    if not spec.unit_distortion > 0.0:
-        raise InvalidSpecError("unit_distortion must be positive")
-    root = roots[0]
-    for body in spec.bodies:
-        if body.body_id != root and not 0 <= body.parent < len(ids):
-            raise InvalidSpecError(f"body {body.body_id}: parent {body.parent} out of range")
-    for body in spec.bodies:
-        if body.body_id == root:
-            continue
-        seen = {body.body_id}
-        node = body.parent
-        while node != root:
-            if node in seen:
-                raise InvalidSpecError(f"body {body.body_id} is caught in a parent cycle")
-            seen.add(node)
-            node = spec.bodies[node].parent
-        exc = body.excitation
-        if exc.kind == "scripted" and exc.rotations.shape[0] != spec.frame_count:
-            raise InvalidSpecError(
-                f"body {body.body_id}: scripted rotations cover "
-                f"{exc.rotations.shape[0]} frames, need {spec.frame_count}"
-            )
+        return next(b.body_id for b in self.bodies if b.parent is None)
 
 
 def rotational_dof(spec: SynthSpec) -> int:
@@ -302,7 +301,6 @@ def generate(spec: SynthSpec) -> tuple[CaptureSession, SkeletonModel]:
     emitted translations are divided by unit_distortion first, then
     noise (in emitted units) is added.
     """
-    validate(spec)
     rng = np.random.default_rng(spec.seed)
     n = spec.frame_count
     truth = truth_model(spec)

@@ -135,6 +135,13 @@ class TestRoundTrip:
         back = load_session(path, unit_scale=1.0)
         assert back.track(1).translations.tobytes() == session.track(1).translations.tobytes()
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+    def test_unit_scale_must_be_finite_positive(self, tmp_path, scale):
+        path = tmp_path / "s.csv"
+        write_session(path, small_session(n=3, m=2, seed=5))
+        with pytest.raises(ValueError, match="unit_scale"):
+            load_session(path, unit_scale=scale)
+
 
 class TestParseErrors:
     def test_bad_header(self, tmp_path):

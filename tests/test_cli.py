@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from skelfit.solver import solve_joint
 from skelfit.synth import generate, linkage_spec, rigid_pair_spec
 
 from conftest import manual_pair_session
+
+DATA = Path(__file__).parent / "data"
 
 
 def fmt(x):
@@ -297,6 +300,25 @@ class TestReconstruct:
             line for line in out.splitlines() if line.startswith("max joint gap before")
         ][-1]
         assert float(last_before.split(": ")[1].split()[0]) < 1e-11
+
+    def test_older_skeleton_format_replays_identically(self, tmp_path, capsys):
+        # older files gave the root a joint; it must not change playback
+        session, _ = generate(linkage_spec(frames=60, seed=94))
+        session_path = tmp_path / "noisy.csv"
+        write_session(session_path, session)
+        old_path = DATA / "skeleton_with_root_joint.json"
+        new_path = tmp_path / "skeleton.json"
+        save_skeleton(new_path, load_skeleton(old_path))
+        assert new_path.read_bytes() != old_path.read_bytes()
+        outs = []
+        for skel_path in (old_path, new_path):
+            outs.append(tmp_path / f"from_{skel_path.stem}.csv")
+            assert main(["reconstruct", str(session_path), str(skel_path), str(outs[-1])]) == 0
+        capsys.readouterr()
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert load_session(outs[0]).track(3).translations.tobytes() != (
+            session.track(3).translations.tobytes()
+        )
 
 
 class TestSynth:

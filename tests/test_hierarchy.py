@@ -6,6 +6,7 @@ import pytest
 
 from skelfit.errors import DegenerateInputError, IncompleteMatrixError, ParseError
 from skelfit.hierarchy import (
+    DEFAULT_LOOP_FACTOR,
     FitMatrix,
     build_fit_matrix,
     infer_hierarchy,
@@ -118,24 +119,26 @@ class TestInvariances:
 
 
 class TestLoopEdges:
-    def W(self):
+    def W(self, w12):
         W = np.array(
             [
                 [np.nan, 1.0, 2.0],
-                [1.0, np.nan, 3.5],
-                [2.0, 3.5, np.nan],
+                [1.0, np.nan, w12],
+                [2.0, w12, np.nan],
             ]
         )
         return weight_only_matrix(W)
 
     def test_near_tree_edge_reported(self):
-        result = infer_hierarchy(self.W(), loop_factor=2.0)
+        result = infer_hierarchy(self.W(3.5))
         assert result.tree_edges == [(0, 1), (0, 2)]
         assert result.unused_low_error_edges == [(1, 2, 3.5)]
 
-    def test_tight_factor_drops_edge(self):
-        result = infer_hierarchy(self.W(), loop_factor=1.5)
-        assert result.unused_low_error_edges == []
+    def test_edge_beyond_factor_dropped(self):
+        # the largest tree edge is 2.0, so the cutoff is 2.0 * 2.0
+        assert DEFAULT_LOOP_FACTOR == 2.0
+        assert infer_hierarchy(self.W(4.0)).unused_low_error_edges == [(1, 2, 4.0)]
+        assert infer_hierarchy(self.W(4.5)).unused_low_error_edges == []
 
     def test_report_sorted_by_weight(self):
         W = np.full((4, 4), 10.0)
@@ -145,7 +148,7 @@ class TestLoopEdges:
         W[1, 2] = W[2, 1] = 1.4
         W[1, 3] = W[3, 1] = 1.3
         np.fill_diagonal(W, np.nan)
-        result = infer_hierarchy(weight_only_matrix(W), loop_factor=2.0)
+        result = infer_hierarchy(weight_only_matrix(W))
         assert result.unused_low_error_edges == [(1, 3, 1.3), (1, 2, 1.4)]
 
 

@@ -1,5 +1,6 @@
 """Skeleton assembly, limb lengths, forward kinematics, reconstruction."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from skelfit.solver import NOISELESS_RANK_TOL, Classification, solve_joint
 from skelfit.synth import generate, linkage_spec
 
 from conftest import haar_rotations, manual_pair_session
+
+DATA = Path(__file__).parent / "data"
 
 
 def make_joint(body, parent, c, l, cls=Classification.SPHERICAL):
@@ -83,17 +86,6 @@ class TestFitSkeleton:
         _, _, _, model = linkage_clean
         assert model.label_of(0) == "torso"
         assert model.label_of(5) == "forearm_r"
-
-    def test_hierarchy_result_accepted(self, linkage_clean):
-        from skelfit.hierarchy import build_fit_matrix, infer_hierarchy
-
-        _, session, _, inferred = linkage_clean
-        fits = build_fit_matrix(session, NOISELESS_RANK_TOL)
-        result = infer_hierarchy(fits)
-        model = fit_skeleton(session, hierarchy=result, rank_tol=NOISELESS_RANK_TOL)
-        assert {b: j.parent for b, j in model.joints.items()} == {
-            b: j.parent for b, j in inferred.joints.items()
-        }
 
 
 class TestModelValidation:
@@ -408,13 +400,7 @@ class TestSerialization:
         )
         data = skeleton_to_dict(model)
         assert data["root"] == 0
-        root_row = data["bodies"][0]
-        assert root_row["parent"] is None
-        assert root_row["c"] == [0.0, 0.0, 0.0]
-        assert root_row["l"] == [0.0, 0.0, 0.0]
-        assert root_row["epsilon_m"] == 0.0
-        assert root_row["classification"] == "spherical"
-        assert root_row["label"] == "base"
+        assert data["bodies"][0] == {"id": 0, "label": "base", "parent": None}
 
     def test_json_is_plain_types(self, tmp_path):
         session, _ = noisy_linkage(frames=100, seed=49)
@@ -422,7 +408,9 @@ class TestSerialization:
         path = tmp_path / "skeleton.json"
         save_skeleton(path, model)
         data = json.loads(path.read_text())
-        assert {row["classification"] for row in data["bodies"]} <= {
+        joints = [row for row in data["bodies"] if row["parent"] is not None]
+        assert len(joints) == len(data["bodies"]) - 1
+        assert {row["classification"] for row in joints} <= {
             "spherical",
             "hinge",
             "rigid",
@@ -447,6 +435,21 @@ class TestSerialization:
         back = load_skeleton(path)
         assert np.array_equal(back.joints[1].axis_child, model.joints[1].axis_child)
         assert np.array_equal(back.joints[1].axis_parent, model.joints[1].axis_parent)
+
+    def test_root_joint_fields_of_older_files_ignored(self):
+        # older files gave the root a spherical joint at the origin
+        old = json.loads((DATA / "skeleton_with_root_joint.json").read_text())
+        root_row = next(row for row in old["bodies"] if row["id"] == old["root"])
+        assert "classification" in root_row
+        new = json.loads(json.dumps(old))
+        for row in new["bodies"]:
+            if row["id"] == new["root"]:
+                for key in set(row) - {"id", "label", "parent"}:
+                    del row[key]
+        from_old, from_new = dict_to_skeleton(old), dict_to_skeleton(new)
+        assert skeleton_to_dict(from_old) == skeleton_to_dict(from_new) == new
+        assert from_old.root == from_new.root == 1
+        assert from_old.labels == from_new.labels
 
     def test_dict_round_trip_without_files(self):
         model = SkeletonModel(

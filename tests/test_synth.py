@@ -1,6 +1,7 @@
 """Synthetic capture generation and sensor-pair calibration."""
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from skelfit.synth import (
     save_spec,
     spec_to_dict,
     truth_model,
-    validate,
 )
 
 from conftest import line_angle
@@ -75,54 +75,56 @@ class TestValidate:
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidSpecError, match="no bodies"):
-            validate(SynthSpec(bodies=(), frame_count=10))
+            SynthSpec(bodies=(), frame_count=10)
 
     def test_ids_must_be_dense(self):
-        spec = SynthSpec(bodies=(self.body(0, None), self.body(2, 0)), frame_count=10)
         with pytest.raises(InvalidSpecError, match="0..m-1"):
-            validate(spec)
+            SynthSpec(bodies=(self.body(0, None), self.body(2, 0)), frame_count=10)
 
     def test_exactly_one_root(self):
-        spec = SynthSpec(bodies=(self.body(0, None), self.body(1, None)), frame_count=10)
         with pytest.raises(InvalidSpecError, match="one root"):
-            validate(spec)
+            SynthSpec(bodies=(self.body(0, None), self.body(1, None)), frame_count=10)
 
     def test_parent_out_of_range(self):
-        spec = SynthSpec(bodies=(self.body(0, None), self.body(1, 7)), frame_count=10)
         with pytest.raises(InvalidSpecError, match="out of range"):
-            validate(spec)
+            SynthSpec(bodies=(self.body(0, None), self.body(1, 7)), frame_count=10)
 
     def test_cycle_detected(self):
-        spec = SynthSpec(
-            bodies=(self.body(0, None), self.body(1, 2), self.body(2, 1)),
-            frame_count=10,
-        )
         with pytest.raises(InvalidSpecError, match="cycle"):
-            validate(spec)
+            SynthSpec(
+                bodies=(self.body(0, None), self.body(1, 2), self.body(2, 1)),
+                frame_count=10,
+            )
 
     def test_frame_count_positive(self):
-        spec = SynthSpec(bodies=(self.body(0, None),), frame_count=0)
         with pytest.raises(InvalidSpecError, match="frame_count"):
-            validate(spec)
+            SynthSpec(bodies=(self.body(0, None),), frame_count=0)
 
     def test_unit_distortion_positive(self):
-        spec = SynthSpec(
-            bodies=(self.body(0, None),), frame_count=5, unit_distortion=0.0
-        )
         with pytest.raises(InvalidSpecError, match="unit_distortion"):
-            validate(spec)
+            SynthSpec(
+                bodies=(self.body(0, None),), frame_count=5, unit_distortion=0.0
+            )
 
     def test_scripted_length_checked(self):
         exc = Excitation(kind="scripted", rotations=np.tile(np.eye(3), (4, 1, 1)))
+        with pytest.raises(InvalidSpecError, match="scripted"):
+            SynthSpec(
+                bodies=(
+                    self.body(0, None),
+                    SynthBody(1, 0, l=(0.2, 0.0, 0.0), excitation=exc),
+                ),
+                frame_count=10,
+            )
+
+    def test_replace_checks_again(self):
+        # the CLI's --frames override goes through dataclasses.replace
+        exc = Excitation(kind="scripted", rotations=np.tile(np.eye(3), (4, 1, 1)))
         spec = SynthSpec(
-            bodies=(
-                self.body(0, None),
-                SynthBody(1, 0, l=(0.2, 0.0, 0.0), excitation=exc),
-            ),
-            frame_count=10,
+            bodies=(self.body(0, None), SynthBody(1, 0, excitation=exc)), frame_count=4
         )
         with pytest.raises(InvalidSpecError, match="scripted"):
-            validate(spec)
+            replace(spec, frame_count=10)
 
 
 class TestExcitation:
@@ -137,6 +139,14 @@ class TestExcitation:
     def test_zero_axis_rejected(self):
         with pytest.raises(InvalidSpecError):
             Excitation(kind="hinge", axis=(0.0, 0.0, 0.0))
+
+    def test_nan_axis_rejected(self):
+        with pytest.raises(InvalidSpecError, match="finite"):
+            Excitation(kind="hinge", axis=(math.nan, 0.0, 0.0))
+
+    def test_nan_mount_rejected(self):
+        with pytest.raises(InvalidSpecError, match="finite"):
+            Excitation(mount=np.full((3, 3), np.nan))
 
     def test_negative_max_angle_rejected(self):
         with pytest.raises(InvalidSpecError):
@@ -237,7 +247,6 @@ class TestPresets:
         spec = figure16_spec(frames=10)
         assert len(spec.bodies) == 16
         assert spec.root == 0
-        validate(spec)
         truth = truth_model(spec)
         assert len(truth.joints) == 15
         assert all(
@@ -324,11 +333,9 @@ class TestGenerate:
         assert session.sample_interval == pytest.approx(1.0 / 120.0)
 
     def test_invalid_spec_refused(self):
-        spec = SynthSpec(
-            bodies=(SynthBody(0, None), SynthBody(1, 5)), frame_count=10
-        )
+        # refused on construction, so generate never sees it
         with pytest.raises(InvalidSpecError):
-            generate(spec)
+            SynthSpec(bodies=(SynthBody(0, None), SynthBody(1, 5)), frame_count=10)
 
     def test_rotations_stay_orthonormal_with_rotation_noise(self):
         session, _ = generate(
