@@ -78,7 +78,6 @@ class CaptureSession:
 
     bodies: tuple[BodyTrack, ...]
     frame_count: int
-    sample_interval: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "bodies", tuple(self.bodies))
@@ -240,7 +239,7 @@ def with_labels(session: CaptureSession, labels: dict[int, str]) -> CaptureSessi
         BodyTrack(b.body_id, b.rotations, b.translations, labels.get(b.body_id, b.label))
         for b in session.bodies
     )
-    return CaptureSession(bodies, session.frame_count, session.sample_interval)
+    return CaptureSession(bodies, session.frame_count)
 
 
 def validate(session: CaptureSession) -> list[str]:

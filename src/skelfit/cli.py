@@ -270,6 +270,16 @@ def _finite_positive(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _add_load_flags(sub):
     sub.add_argument("session", help="transform-stream CSV")
     sub.add_argument(
@@ -305,7 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--output", help="write a JSON fit report")
     sub.add_argument("--residuals", help="write per-frame residual CSV")
     sub.add_argument("--histogram", help="write residual histogram CSV")
-    sub.add_argument("--bin-width", type=float, help="histogram bin width in meters")
+    sub.add_argument(
+        "--bin-width", type=_finite_positive, help="histogram bin width in meters"
+    )
     sub.set_defaults(func=cmd_solve_joint)
 
     sub = commands.add_parser("build-skeleton", help="fit every joint of the figure")
@@ -344,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("body_b", help="second body index or label")
     sub.add_argument(
         "--known-distance",
-        type=float,
+        type=_finite_positive,
         help="measured separation in meters; enables the scale estimate",
     )
     sub.add_argument("--output", help="write a JSON calibration report")
@@ -357,8 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rank_tol(sub)
     sub.add_argument("--output", help="write per-frame residual CSV")
     sub.add_argument("--histogram", help="write residual histogram CSV")
-    sub.add_argument("--bins", type=int, default=30, help="histogram bin count")
-    sub.add_argument("--bin-width", type=float, help="histogram bin width in meters")
+    sub.add_argument("--bins", type=_positive_int, default=30, help="histogram bin count")
+    sub.add_argument(
+        "--bin-width", type=_finite_positive, help="histogram bin width in meters"
+    )
     sub.set_defaults(func=cmd_residuals)
 
     return parser

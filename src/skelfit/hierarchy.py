@@ -4,14 +4,16 @@ Every unordered body pair gets a joint fit; the fit error is the weight
 of an edge between the two bodies.  The articulated hierarchy is the
 spanning tree of minimum total weight, oriented away from a chosen
 root.  Non-tree edges whose error is still low are reported, since they
-may indicate a loop the tree cannot represent.
+may indicate a loop the tree cannot represent.  tree_order checks any
+parent map, inferred or supplied, and orders its bodies root first.
 """
 from __future__ import annotations
 
 import csv
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -132,15 +134,7 @@ def infer_hierarchy(fits: FitMatrix, root: Optional[int] = None) -> HierarchyRes
     for i, j in tree:
         adjacency[i].append(j)
         adjacency[j].append(i)
-
-    parent: dict[int, Optional[int]] = {root: None}
-    queue = [root]
-    while queue:
-        node = queue.pop(0)
-        for nbr in sorted(adjacency[node]):
-            if nbr not in parent:
-                parent[nbr] = node
-                queue.append(nbr)
+    parent = _breadth_first(root, adjacency)
 
     weights = sorted(float(fits.epsilon[i, j]) for i, j in tree)
     total = math.fsum(weights)
@@ -157,6 +151,46 @@ def infer_hierarchy(fits: FitMatrix, root: Optional[int] = None) -> HierarchyRes
     )
 
 
+def _breadth_first(root: int, links: Mapping[int, list[int]]) -> dict[int, Optional[int]]:
+    """{body: parent} for each body reached from root, in visit order.
+
+    Neighbours are visited in index order; the root maps to None.
+    """
+    parent: dict[int, Optional[int]] = {root: None}
+    queue = deque([root])
+    while queue:
+        node = queue.popleft()
+        for nbr in sorted(links[node]):
+            if nbr not in parent:
+                parent[nbr] = node
+                queue.append(nbr)
+    return parent
+
+
+def tree_order(parent: Mapping[int, Optional[int]]) -> list[int]:
+    """The bodies of a parent map, root first, breadth-first, children in index order.
+
+    Raises ValueError naming the body at fault unless exactly one body
+    maps to None and every other body reaches that root through parents
+    that are themselves bodies of the map.
+    """
+    roots = [b for b, p in parent.items() if p is None]
+    if len(roots) != 1:
+        raise ValueError(f"parent map must have exactly one root, found {roots}")
+    children: dict[int, list[int]] = {b: [] for b in parent}
+    for body, p in parent.items():
+        if p is None:
+            continue
+        if p not in children:
+            raise ValueError(f"body {body}: parent {p} out of range (not in the map)")
+        children[p].append(body)
+    order = list(_breadth_first(roots[0], children))
+    if len(order) < len(parent):
+        body = min(set(parent) - set(order))
+        raise ValueError(f"body {body} does not chain to the root (parent cycle)")
+    return order
+
+
 def write_fit_matrix_csv(path, fits: FitMatrix):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -168,7 +202,10 @@ def write_fit_matrix_csv(path, fits: FitMatrix):
 
 
 def load_parent_map(path) -> dict[int, Optional[int]]:
-    """Read a `body,parent` CSV; the root row leaves parent empty or 'world'."""
+    """Read a `body,parent` CSV; the root row leaves parent empty or 'world'.
+
+    Whether the rows form one tree is left to tree_order.
+    """
     parent: dict[int, Optional[int]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -178,6 +215,8 @@ def load_parent_map(path) -> dict[int, Optional[int]]:
         for number, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) > 2:
+                raise ParseError(f"{path}, row {number}: expected 2 fields, got {len(row)}")
             cell = row[1].strip() if len(row) > 1 else ""
             try:
                 body = int(row[0])

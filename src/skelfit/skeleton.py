@@ -16,7 +16,7 @@ import numpy as np
 
 from .capture import BodyTrack, CaptureSession
 from .errors import MissingRotationError, NotAdjacentError, ParseError
-from .hierarchy import build_fit_matrix, infer_hierarchy
+from .hierarchy import build_fit_matrix, infer_hierarchy, tree_order
 from .solver import DEFAULT_RANK_TOL, Classification, solve_joint
 
 
@@ -36,6 +36,12 @@ class Joint:
 
 @dataclass(frozen=True)
 class SkeletonModel:
+    """A fitted tree: the root body plus one joint per other body.
+
+    Construction raises ValueError unless the joints' parents form one
+    tree under the root (see hierarchy.tree_order).
+    """
+
     root: int
     joints: dict[int, Joint] = field(repr=False)
     labels: Optional[dict[int, str]] = None
@@ -46,36 +52,15 @@ class SkeletonModel:
         for body, joint in self.joints.items():
             if joint.body != body:
                 raise ValueError("joint keyed by the wrong body")
-        # Every body must reach the root without cycles.
-        for body in self.joints:
-            seen = set()
-            node = body
-            while node != self.root:
-                if node in seen or node not in self.joints:
-                    raise ValueError(f"body {body} does not chain to the root")
-                seen.add(node)
-                node = self.joints[node].parent
+        self.topological_order()  # raises unless the joints form one tree
 
     @property
     def bodies(self) -> list[int]:
         return sorted([self.root, *self.joints])
 
-    def children_of(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {b: [] for b in self.bodies}
-        for joint in self.joints.values():
-            out[joint.parent].append(joint.body)
-        return {b: sorted(c) for b, c in out.items()}
-
     def topological_order(self) -> list[int]:
-        children = self.children_of()
-        order = [self.root]
-        queue = [self.root]
-        while queue:
-            node = queue.pop(0)
-            for child in children[node]:
-                order.append(child)
-                queue.append(child)
-        return order
+        parent = {b: j.parent for b, j in self.joints.items()}
+        return tree_order({self.root: None, **parent})
 
     def label_of(self, body: int) -> str:
         if self.labels and body in self.labels:
@@ -92,21 +77,20 @@ def fit_skeleton(
 
     hierarchy maps every body to its parent, with None for the one root.
     With hierarchy=None the map is inferred first: the minimum spanning
-    tree of the pairwise fit errors, rooted at body 0.
+    tree of the pairwise fit errors, rooted at body 0.  A map that is not
+    one tree (see hierarchy.tree_order) raises ValueError before any
+    joint is solved.
     """
     if hierarchy is None:
         hierarchy = infer_hierarchy(build_fit_matrix(session, rank_tol)).parent
-    roots = [b for b, p in hierarchy.items() if p is None]
-    if len(roots) != 1:
-        raise ValueError(f"parent map must have exactly one root, found {roots}")
-    parents = {b: p for b, p in hierarchy.items() if p is not None}
+    root, *others = tree_order(hierarchy)
 
     joints: dict[int, Joint] = {}
-    for body in sorted(parents):
-        fit = solve_joint(session, body, parents[body], rank_tol)
+    for body in sorted(others):
+        fit = solve_joint(session, body, hierarchy[body], rank_tol)
         joints[body] = Joint(
             body=body,
-            parent=parents[body],
+            parent=hierarchy[body],
             c=fit.c,
             l=fit.l,
             epsilon=fit.epsilon,
@@ -115,7 +99,7 @@ def fit_skeleton(
             axis_parent=fit.hinge_axis_parent,
         )
     labels = {b.body_id: b.label for b in session.bodies if b.label is not None}
-    return SkeletonModel(root=roots[0], joints=joints, labels=labels or None)
+    return SkeletonModel(root=root, joints=joints, labels=labels or None)
 
 
 def limb_length(model: SkeletonModel, joint_a: int, joint_b: int) -> float:
@@ -266,7 +250,7 @@ def reconstruct(
             tracks.append(BodyTrack(body, world_R[body], world_t[body], label=old.label))
         else:
             tracks.append(session.bodies[body])
-    return CaptureSession(tuple(tracks), session.frame_count, session.sample_interval)
+    return CaptureSession(tuple(tracks), session.frame_count)
 
 
 def joint_gaps(model: SkeletonModel, session: CaptureSession) -> dict[int, np.ndarray]:

@@ -205,11 +205,13 @@ def residual_histogram(
     Magnitudes are absolute values, so the distribution is one-sided by
     construction.  bin_width overrides the bin count when given.
     """
+    if not bins >= 1:
+        raise ValueError(f"bins must be a positive integer, got {bins!r}")
     r = fit.residual_per_frame
     top = float(r.max())
     if bin_width is not None:
-        if bin_width <= 0:
-            raise ValueError("bin_width must be positive")
+        if not 0.0 < bin_width < math.inf:
+            raise ValueError(f"bin_width must be finite and positive, got {bin_width!r}")
         count = max(1, math.ceil(top / bin_width)) if top > 0 else 1
         edges = np.arange(count + 1) * bin_width
     else:

@@ -24,6 +24,7 @@ from scipy.spatial.transform import Rotation
 
 from .capture import BodyTrack, CaptureSession
 from .errors import DegenerateInputError, InvalidSpecError, LengthMismatchError
+from .hierarchy import tree_order
 from .rigid import orthonormality_error, rotation_about_axis
 from .skeleton import Joint, SkeletonModel, _chain_world
 from .solver import Classification
@@ -39,6 +40,8 @@ def _as_vector(x, name: str) -> np.ndarray:
     v = np.array(x, dtype=np.float64)
     if v.shape != (3,):
         raise InvalidSpecError(f"{name} must be a 3-vector, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise InvalidSpecError(f"{name} must be finite, got {v.tolist()}")
     v.setflags(write=False)
     return v
 
@@ -78,12 +81,10 @@ class Excitation:
     def __post_init__(self):
         if self.kind not in EXCITATION_KINDS:
             raise InvalidSpecError(f"unknown excitation kind {self.kind!r}")
-        if self.max_angle is not None and not self.max_angle > 0.0:
-            raise InvalidSpecError("max_angle must be positive when given")
+        if self.max_angle is not None and not 0.0 < self.max_angle < math.inf:
+            raise InvalidSpecError("max_angle must be finite and positive when given")
         if self.axis is not None:
             axis = _as_vector(self.axis, "axis")
-            if not np.isfinite(axis).all():
-                raise InvalidSpecError("hinge axis must be finite")
             if np.linalg.norm(axis) < 1e-12:
                 raise InvalidSpecError("hinge axis must be nonzero")
             object.__setattr__(self, "axis", axis)
@@ -101,6 +102,8 @@ class Excitation:
             rot = np.array(self.rotations, dtype=np.float64)
             if rot.ndim != 3 or rot.shape[1:] != (3, 3):
                 raise InvalidSpecError("scripted rotations must be (n, 3, 3)")
+            if not np.isfinite(rot).all():
+                raise InvalidSpecError("rotations must be finite")
             rot.setflags(write=False)
             object.__setattr__(self, "rotations", rot)
         if self.kind == "hinge" and self.axis is None:
@@ -144,8 +147,8 @@ class RootMotion:
     def __post_init__(self):
         if self.kind not in ROOT_MOTION_KINDS:
             raise InvalidSpecError(f"unknown root motion kind {self.kind!r}")
-        if self.translation_scale < 0.0:
-            raise InvalidSpecError("translation_scale must be nonnegative")
+        if not 0.0 <= self.translation_scale < math.inf:
+            raise InvalidSpecError("translation_scale must be finite and nonnegative")
 
     def sample(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         if self.kind == "static":
@@ -168,8 +171,9 @@ class NoiseSpec:
     sigma_r: float = 0.0
 
     def __post_init__(self):
-        if self.sigma_t < 0.0 or self.sigma_r < 0.0:
-            raise InvalidSpecError("noise sigmas must be nonnegative")
+        for name in ("sigma_t", "sigma_r"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise InvalidSpecError(f"{name} must be finite and nonnegative")
 
 
 NO_NOISE = NoiseSpec()
@@ -217,29 +221,15 @@ class SynthSpec:
         ids = [b.body_id for b in bodies]
         if ids != list(range(len(ids))):
             raise InvalidSpecError(f"body ids must be 0..m-1 in order, got {ids}")
-        roots = [b.body_id for b in bodies if b.parent is None]
-        if len(roots) != 1:
-            raise InvalidSpecError(f"spec must have exactly one root, found {roots}")
+        try:
+            tree_order({b.body_id: b.parent for b in bodies})
+        except ValueError as exc:
+            raise InvalidSpecError(f"spec: {exc}") from exc
         if self.frame_count < 1:
             raise InvalidSpecError("frame_count must be at least 1")
-        if not self.unit_distortion > 0.0:
-            raise InvalidSpecError("unit_distortion must be positive")
-        root = roots[0]
-        for body in bodies:
-            if body.body_id != root and not 0 <= body.parent < len(ids):
-                raise InvalidSpecError(
-                    f"body {body.body_id}: parent {body.parent} out of range"
-                )
-        for body in bodies:
-            if body.body_id == root:
-                continue
-            seen = {body.body_id}
-            node = body.parent
-            while node != root:
-                if node in seen:
-                    raise InvalidSpecError(f"body {body.body_id} is caught in a parent cycle")
-                seen.add(node)
-                node = bodies[node].parent
+        if not 0.0 < self.unit_distortion < math.inf:
+            raise InvalidSpecError("unit_distortion must be finite and positive")
+        for body in (b for b in bodies if b.parent is not None):
             exc = body.excitation
             if exc.kind == "scripted" and exc.rotations.shape[0] != self.frame_count:
                 raise InvalidSpecError(
@@ -329,7 +319,7 @@ def generate(spec: SynthSpec) -> tuple[CaptureSession, SkeletonModel]:
         BodyTrack(b.body_id, world_R[b.body_id], world_t[b.body_id], label=b.label)
         for b in spec.bodies
     )
-    session = CaptureSession(tracks, n, sample_interval=spec.sample_interval)
+    session = CaptureSession(tracks, n)
     return session, truth
 
 
@@ -351,8 +341,13 @@ def calibrate_pair(
     """Distance statistics between two sensor origins.
 
     scale = known_distance / mean converts emitted units to meters;
-    without a known distance the scale reports 1.
+    without a known distance the scale reports 1.  A known distance must
+    be finite and positive.
     """
+    if known_distance is not None and not 0.0 < known_distance < math.inf:
+        raise ValueError(
+            f"known_distance must be finite and positive, got {known_distance!r}"
+        )
     if len(track_a) != len(track_b):
         raise LengthMismatchError(
             f"tracks cover {len(track_a)} and {len(track_b)} frames"

@@ -260,6 +260,25 @@ class TestBuildSkeleton:
         capsys.readouterr()
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0,world\n1,2\n2,1\n", "error: body 1 does not chain to the root"),
+            ("0,world\n1,world\n", "error: parent map must have exactly one root, found [0, 1]"),
+            ("0,world\n1,9\n", "error: body 1: parent 9 out of range"),
+        ],
+        ids=["cycle", "two-roots", "unknown-parent"],
+    )
+    def test_hierarchy_not_one_tree(self, linkage_dir, tmp_path, capsys, rows, message):
+        base, _, _ = linkage_dir
+        map_path = tmp_path / "parents.csv"
+        map_path.write_text("body,parent\n" + rows)
+        code = main(["build-skeleton", str(base / "session.csv"), "--hierarchy", str(map_path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert message in captured.err
+        assert "joints:" not in captured.out
+
 
 class TestReconstruct:
     def test_removes_residuals(self, tmp_path, capsys):
@@ -592,6 +611,39 @@ class TestExitCodes:
         parents.write_text("body,parent\n0,world\n1,0\n1,0\n")
         assert main(["build-skeleton", str(path), "--hierarchy", str(parents)]) == 2
         assert f"{parents}, row 4: body 1 listed twice" in capsys.readouterr().err
+
+    def test_hierarchy_row_with_extra_field(self, pair_csv, tmp_path, capsys):
+        path, _ = pair_csv
+        parents = tmp_path / "parents.csv"
+        parents.write_text("body,parent\n0,world\n1,0,junk\n")
+        assert main(["build-skeleton", str(path), "--hierarchy", str(parents)]) == 2
+        assert f"{parents}, row 3: expected 2 fields, got 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(
+                ["calibrate-pair", "1", "0", "--known-distance", v]
+                for v in ("nan", "-0.5", "0", "inf")
+            ),
+            *(["residuals", "1", "0", "--bins", v] for v in ("0", "-3", "2.5", "x")),
+            *(
+                [command, "1", "0", "--histogram", "h.csv", "--bin-width", v]
+                for command in ("residuals", "solve-joint")
+                for v in ("nan", "inf", "0", "-0.001")
+            ),
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
+    )
+    def test_numeric_flag_out_of_range(self, pair_csv, tmp_path, capsys, argv):
+        path, _ = pair_csv
+        command, *rest = argv
+        rest = [str(tmp_path / a) if a == "h.csv" else a for a in rest]
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(path), *rest])
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}" in capsys.readouterr().err
+        assert not (tmp_path / "h.csv").exists()
 
     def test_bad_spec_json(self, tmp_path, capsys):
         spec_path = tmp_path / "broken.json"

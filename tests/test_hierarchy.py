@@ -1,5 +1,7 @@
 """All-pairs fit matrix and spanning-tree hierarchy inference."""
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from skelfit.hierarchy import (
     build_fit_matrix,
     infer_hierarchy,
     load_parent_map,
+    tree_order,
     write_fit_matrix_csv,
     write_parent_map,
 )
@@ -227,6 +230,99 @@ class TestFitMatrixFromSession:
             build_fit_matrix(session)
 
 
+def reaches_root_in_m_steps(parent) -> bool:
+    """Independent tree check: one None, and from every body the parents
+    lead to it within m steps."""
+    roots = [b for b, p in parent.items() if p is None]
+    if len(roots) != 1:
+        return False
+    for body in parent:
+        node = body
+        for _ in range(len(parent)):
+            if node == roots[0] or node not in parent:
+                break
+            node = parent[node]
+        if node != roots[0]:
+            return False
+    return True
+
+
+def path_from_root(parent, body) -> list:
+    path = [body]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+def orient(edges, root) -> dict:
+    """Parent map of an undirected tree, grown edge by edge from root."""
+    parent = {root: None}
+    while len(parent) <= len(edges):
+        for i, j in edges:
+            if i in parent and j not in parent:
+                parent[j] = i
+            elif j in parent and i not in parent:
+                parent[i] = j
+    return parent
+
+
+class TestTreeOrder:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_exhaustive_oracle(self, m):
+        # each body maps to None, to any body (itself included), or to m,
+        # which is not a body of the map
+        accepted = 0
+        for parents in itertools.product([None, *range(m + 1)], repeat=m):
+            parent = dict(enumerate(parents))
+            if not reaches_root_in_m_steps(parent):
+                with pytest.raises(ValueError):
+                    tree_order(parent)
+                continue
+            accepted += 1
+            order = tree_order(parent)
+            assert sorted(order) == list(range(m))
+            assert parent[order[0]] is None
+            position = {b: k for k, b in enumerate(order)}
+            assert all(position[parent[b]] < position[b] for b in order[1:])
+            # breadth-first with children in index order: by depth, then
+            # by the root-to-body path
+            paths = {b: path_from_root(parent, b) for b in order}
+            assert order == sorted(order, key=lambda b: (len(paths[b]), paths[b]))
+        # Cayley: m^(m-1) rooted labeled trees
+        assert accepted == m ** (m - 1)
+
+    def test_every_labeled_tree_at_every_root(self):
+        for edges in all_trees(5):
+            for root in range(5):
+                parent = orient(edges, root)
+                order = tree_order(parent)
+                assert order[0] == root
+                assert sorted(order) == list(range(5))
+                position = {b: k for k, b in enumerate(order)}
+                assert all(position[parent[b]] < position[b] for b in order[1:])
+
+    def test_inferred_map_is_already_in_tree_order(self):
+        W = random_weight_matrix(np.random.default_rng(95), 7)
+        for root in range(7):
+            parent = infer_hierarchy(weight_only_matrix(W), root=root).parent
+            assert list(parent) == tree_order(parent)
+
+    @pytest.mark.parametrize(
+        "parent, message",
+        [
+            ({0: None, 1: None}, r"exactly one root, found \[0, 1\]"),
+            ({0: 1, 1: 0}, r"exactly one root, found \[\]"),
+            ({0: None, 1: 0, 2: 9}, "body 2: parent 9 out of range"),
+            ({0: None, 1: 2, 2: 1, 3: 1}, "body 1 does not chain to the root .*cycle"),
+            ({0: None, 1: 1}, "body 1 does not chain"),
+        ],
+        ids=["two-roots", "no-root", "unknown-parent", "cycle", "self-parent"],
+    )
+    def test_message_names_the_fault(self, parent, message):
+        with pytest.raises(ValueError, match=message):
+            tree_order(parent)
+
+
 class TestSerialization:
     def test_fit_matrix_csv(self, tmp_path):
         W = random_weight_matrix(np.random.default_rng(94), 3)
@@ -252,3 +348,14 @@ class TestSerialization:
         path.write_text("body,parent\n0,world\nx,0\n")
         with pytest.raises(ParseError, match="row 3"):
             load_parent_map(path)
+
+    def test_parent_map_row_with_extra_field(self, tmp_path):
+        path = tmp_path / "extra.csv"
+        path.write_text("body,parent\n0,world\n1,0\n4,2,junk\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}, row 4: expected 2 fields")):
+            load_parent_map(path)
+
+    def test_parent_map_one_field_row_is_the_root(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("body,parent\n0\n1,0\n")
+        assert load_parent_map(path) == {0: None, 1: 0}

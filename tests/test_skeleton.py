@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from skelfit import skeleton
 from skelfit.capture import BodyTrack, CaptureSession
 from skelfit.errors import MissingRotationError, NotAdjacentError
 from skelfit.rigid import orthonormality_error, rotation_about_axis
@@ -86,6 +87,30 @@ class TestFitSkeleton:
         _, _, _, model = linkage_clean
         assert model.label_of(0) == "torso"
         assert model.label_of(5) == "forearm_r"
+
+
+class TestParentMapCheckedFirst:
+    @pytest.mark.parametrize(
+        "parent, message",
+        [
+            ({0: None, 1: 2, 2: 1}, "chain"),
+            ({0: None, 1: None, 2: 0}, "one root"),
+            ({0: None, 1: 0, 2: 7}, "out of range"),
+        ],
+        ids=["cycle", "two-roots", "unknown-parent"],
+    )
+    def test_bad_map_fails_before_any_solve(self, monkeypatch, parent, message):
+        session, _ = generate(linkage_spec(frames=40, seed=47))
+        calls = []
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args[1:3])
+            return solve_joint(*args, **kwargs)
+
+        monkeypatch.setattr(skeleton, "solve_joint", counting_solve)
+        with pytest.raises(ValueError, match=message):
+            fit_skeleton(session, hierarchy=parent)
+        assert calls == []
 
 
 class TestModelValidation:
@@ -321,13 +346,9 @@ class TestReconstruct:
 
     def test_metadata_preserved(self):
         session, _ = noisy_linkage()
-        timed = CaptureSession(
-            session.bodies, session.frame_count, sample_interval=0.01
-        )
-        model = fit_skeleton(timed)
-        rebuilt = reconstruct(model, timed)
-        assert rebuilt.sample_interval == 0.01
-        assert rebuilt.frame_count == timed.frame_count
+        model = fit_skeleton(session)
+        rebuilt = reconstruct(model, session)
+        assert rebuilt.frame_count == session.frame_count
 
     def test_orthonormalize_flag_cleans_rotations(self):
         session, _ = noisy_linkage()

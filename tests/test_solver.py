@@ -457,6 +457,21 @@ class TestResidualReports:
         with pytest.raises(ValueError):
             residual_histogram(fit, bin_width=-1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"bins": 0},
+            {"bins": -2},
+            {"bin_width": math.nan},
+            {"bin_width": math.inf},
+            {"bin_width": 0.0},
+        ],
+        ids=["bins=0", "bins=-2", "width=nan", "width=inf", "width=0"],
+    )
+    def test_histogram_rejects_bad_binning(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            residual_histogram(self.noisy_fit(n=20), **kwargs)
+
     def test_histogram_is_one_sided_and_asymmetric(self):
         fit = self.noisy_fit()
         assert (fit.residual_per_frame >= 0.0).all()

@@ -127,6 +127,43 @@ class TestValidate:
             replace(spec, frame_count=10)
 
 
+class TestSpecNumbersFinite:
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: NoiseSpec(sigma_t=math.nan), "sigma_t"),
+            (lambda: NoiseSpec(sigma_r=math.inf), "sigma_r"),
+            (lambda: RootMotion(translation_scale=math.nan), "translation_scale"),
+            (lambda: Excitation(max_angle=math.inf), "max_angle"),
+            (lambda: SynthBody(1, 0, c=(math.nan, 0.0, 0.0)), "c"),
+            (lambda: SynthBody(1, 0, l=(0.0, -math.inf, 0.0)), "l"),
+            (
+                lambda: Excitation(kind="scripted", rotations=np.full((2, 3, 3), np.nan)),
+                "rotations",
+            ),
+            (
+                lambda: SynthSpec(
+                    bodies=(SynthBody(0, None),), frame_count=5, unit_distortion=math.inf
+                ),
+                "unit_distortion",
+            ),
+        ],
+        ids=[
+            "sigma_t",
+            "sigma_r",
+            "translation_scale",
+            "max_angle",
+            "c",
+            "l",
+            "rotations",
+            "unit_distortion",
+        ],
+    )
+    def test_non_finite_field_named(self, build, field):
+        with pytest.raises(InvalidSpecError, match=f"^{field} must be finite"):
+            build()
+
+
 class TestExcitation:
     def test_unknown_kind(self):
         with pytest.raises(InvalidSpecError):
@@ -330,7 +367,6 @@ class TestGenerate:
         )
         session, _ = generate(spec)
         assert session.label_of(0) == "torso"
-        assert session.sample_interval == pytest.approx(1.0 / 120.0)
 
     def test_invalid_spec_refused(self):
         # refused on construction, so generate never sees it
@@ -368,6 +404,12 @@ class TestCalibratePair:
         cal = calibrate_pair(session.track(0), session.track(1))
         assert cal.std_m > 0.005
         assert cal.mean_m == pytest.approx(0.565, abs=0.01)
+
+    @pytest.mark.parametrize("known", [math.nan, math.inf, 0.0, -0.5])
+    def test_known_distance_must_be_finite_positive(self, known):
+        session, _ = generate(rigid_pair_spec(frames=10, seed=79))
+        with pytest.raises(ValueError, match="known_distance"):
+            calibrate_pair(session.track(0), session.track(1), known_distance=known)
 
     def test_length_mismatch(self):
         session, _ = generate(rigid_pair_spec(frames=10, seed=79))
