@@ -29,6 +29,7 @@ from .hierarchy import (
     build_fit_matrix,
     infer_hierarchy,
     load_parent_map,
+    tree_order,
     write_fit_matrix_csv,
 )
 from .skeleton import (
@@ -43,6 +44,7 @@ from .skeleton import (
 )
 from .solver import (
     DEFAULT_RANK_TOL,
+    MAX_HISTOGRAM_BINS,
     Classification,
     residual_histogram,
     residual_summary,
@@ -103,6 +105,18 @@ def _print_fit(session: CaptureSession, fit):
         print(f"axis_parent: {_fmt_vec(fit.hinge_axis_parent)}")
 
 
+class UsageError(Exception):
+    """A flag value that only the data shows to be unusable (exit 2)."""
+
+
+def _write_histogram(path, fit, **binning):
+    try:
+        hist = residual_histogram(fit, **binning)
+    except ValueError as exc:  # bins is checked by argparse, so this is --bin-width
+        raise UsageError(f"argument --bin-width: {exc}") from exc
+    write_histogram_csv(path, hist)
+
+
 def cmd_solve_joint(args) -> int:
     session = _load(args)
     child = session.resolve_body(args.child)
@@ -116,18 +130,17 @@ def cmd_solve_joint(args) -> int:
     if args.residuals:
         write_residual_csv(args.residuals, fit)
     if args.histogram:
-        write_histogram_csv(
-            args.histogram, residual_histogram(fit, bin_width=args.bin_width)
-        )
+        _write_histogram(args.histogram, fit, bin_width=args.bin_width)
     return 0
 
 
 def cmd_build_skeleton(args) -> int:
-    session = _load(args)
-    unused = []
     if args.hierarchy:
         parents = load_parent_map(args.hierarchy)
-    else:
+        tree_order(parents)  # a map that is not one tree fails before the CSV parse
+    session = _load(args)
+    unused = []
+    if not args.hierarchy:
         # inferred here rather than in fit_skeleton: only the CLI writes
         # the epsilon table and warns about possible loops
         fits = build_fit_matrix(session, rank_tol=args.rank_tol)
@@ -253,10 +266,7 @@ def cmd_residuals(args) -> int:
     if args.output:
         write_residual_csv(args.output, fit)
     if args.histogram:
-        write_histogram_csv(
-            args.histogram,
-            residual_histogram(fit, bin_width=args.bin_width, bins=args.bins),
-        )
+        _write_histogram(args.histogram, fit, bin_width=args.bin_width, bins=args.bins)
     return 0
 
 
@@ -270,13 +280,15 @@ def _finite_positive(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
+def _bin_count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    if not 1 <= value <= MAX_HISTOGRAM_BINS:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive integer at most {MAX_HISTOGRAM_BINS}"
+        )
     return value
 
 
@@ -369,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rank_tol(sub)
     sub.add_argument("--output", help="write per-frame residual CSV")
     sub.add_argument("--histogram", help="write residual histogram CSV")
-    sub.add_argument("--bins", type=_positive_int, default=30, help="histogram bin count")
+    sub.add_argument("--bins", type=_bin_count, default=30, help="histogram bin count")
     sub.add_argument(
         "--bin-width", type=_finite_positive, help="histogram bin width in meters"
     )
@@ -383,7 +395,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

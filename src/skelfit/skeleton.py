@@ -78,12 +78,17 @@ def fit_skeleton(
     hierarchy maps every body to its parent, with None for the one root.
     With hierarchy=None the map is inferred first: the minimum spanning
     tree of the pairwise fit errors, rooted at body 0.  A map that is not
-    one tree (see hierarchy.tree_order) raises ValueError before any
-    joint is solved.
+    one tree (see hierarchy.tree_order), or that names a body the session
+    lacks, raises ValueError before any joint is solved.  Bodies the map
+    leaves out get no joint, and reconstruct passes them through.
     """
     if hierarchy is None:
         hierarchy = infer_hierarchy(build_fit_matrix(session, rank_tol)).parent
     root, *others = tree_order(hierarchy)
+    m = session.body_count
+    extra = sorted(set(hierarchy) - set(range(m)))
+    if extra:
+        raise ValueError(f"parent map body {extra[0]} is not in the session (bodies 0..{m - 1})")
 
     joints: dict[int, Joint] = {}
     for body in sorted(others):

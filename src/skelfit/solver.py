@@ -28,6 +28,7 @@ from .errors import AllZeroError, DegenerateInputError
 
 DEFAULT_RANK_TOL = 1e-5
 NOISELESS_RANK_TOL = 1e-8  # recommended for synthetic, noise-free data
+MAX_HISTOGRAM_BINS = 1_000_000
 
 
 class Classification(str, enum.Enum):
@@ -88,10 +89,19 @@ def assemble_system(session: CaptureSession, child: int, parent: int):
     return A, b
 
 
+def kept_directions(singular_values: np.ndarray, rank_tol: float) -> np.ndarray:
+    """The truncation rule: direction k is kept when s_k >= rank_tol * s_1.
+
+    s_1 is the first entry along the last axis, so this takes one
+    spectrum or a stack of them and returns a mask of the same shape.
+    """
+    return singular_values >= rank_tol * singular_values[..., :1]
+
+
 def classify_rank(singular_values, rank_tol: float):
     """Count near-zero singular directions and name the joint type.
 
-    Values below rank_tol times the largest value are deficient:
+    Directions the truncation rule drops (kept_directions) are deficient:
     0 deficient -> spherical, 1 -> hinge, 2 or more -> rigid.
     """
     s = np.asarray(singular_values, dtype=np.float64)
@@ -99,7 +109,7 @@ def classify_rank(singular_values, rank_tol: float):
         raise ValueError("singular values must be non-negative and non-increasing")
     if s[0] == 0:
         raise AllZeroError("all singular values are zero")
-    deficient = int(np.count_nonzero(s < rank_tol * s[0]))
+    deficient = int(np.count_nonzero(~kept_directions(s, rank_tol)))
     if deficient == 0:
         return Classification.SPHERICAL, deficient
     if deficient == 1:
@@ -133,7 +143,7 @@ def solve_joint(
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     classification, _ = classify_rank(s, rank_tol)
 
-    keep = s >= rank_tol * s[0]
+    keep = kept_directions(s, rank_tol)
     coeffs = U.T @ b
     scaled = np.where(keep, coeffs / np.where(keep, s, 1.0), 0.0)
     u = Vt.T @ scaled
@@ -203,16 +213,26 @@ def residual_histogram(
     """Histogram of residual magnitudes; bins start at zero.
 
     Magnitudes are absolute values, so the distribution is one-sided by
-    construction.  bin_width overrides the bin count when given.
+    construction.  bin_width overrides the bin count when given.  More
+    than MAX_HISTOGRAM_BINS bins, asked for directly or implied by
+    bin_width, raise ValueError before anything is allocated.
     """
-    if not bins >= 1:
-        raise ValueError(f"bins must be a positive integer, got {bins!r}")
+    if not 1 <= bins <= MAX_HISTOGRAM_BINS:
+        raise ValueError(
+            f"bins must be a positive integer at most {MAX_HISTOGRAM_BINS}, got {bins!r}"
+        )
     r = fit.residual_per_frame
     top = float(r.max())
     if bin_width is not None:
         if not 0.0 < bin_width < math.inf:
             raise ValueError(f"bin_width must be finite and positive, got {bin_width!r}")
-        count = max(1, math.ceil(top / bin_width)) if top > 0 else 1
+        ratio = top / bin_width
+        count = max(1, math.ceil(ratio)) if ratio < math.inf else ratio
+        if count > MAX_HISTOGRAM_BINS:
+            raise ValueError(
+                f"bin_width {bin_width!r} gives {count} bins, "
+                f"above the cap of {MAX_HISTOGRAM_BINS}"
+            )
         edges = np.arange(count + 1) * bin_width
     else:
         edges = np.linspace(0.0, top if top > 0 else 1.0, bins + 1)

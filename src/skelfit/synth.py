@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .capture import BodyTrack, CaptureSession
 from .errors import DegenerateInputError, InvalidSpecError, LengthMismatchError
@@ -57,7 +56,20 @@ def _uniform_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-uniform rotation matrices from normalized 4D normal deviates."""
     q = rng.normal(size=(n, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
+    from scipy.spatial.transform import Rotation  # see _rotvec_matrices
+
     return Rotation.from_quat(q).as_matrix()
+
+
+def _rotvec_matrices(rotvecs: np.ndarray) -> np.ndarray:
+    """Rotation matrices from rotation vectors (axis times angle), (n, 3, 3).
+
+    scipy is imported on first use, not with the module: every CLI
+    process imports synth, and only synthesis needs scipy.
+    """
+    from scipy.spatial.transform import Rotation
+
+    return Rotation.from_rotvec(rotvecs).as_matrix()
 
 
 @dataclass(frozen=True)
@@ -126,13 +138,13 @@ class Excitation:
             span = self.max_angle if self.max_angle is not None else math.pi
             unit = self.axis / np.linalg.norm(self.axis)
             angles = rng.uniform(-span, span, size=n)
-            spins = Rotation.from_rotvec(np.outer(angles, unit)).as_matrix()
+            spins = _rotvec_matrices(np.outer(angles, unit))
             return mount @ spins
         if self.max_angle is None:
             return mount @ _uniform_rotations(rng, n)
         axes = _unit_vectors(rng, n)
         angles = rng.uniform(0.0, self.max_angle, size=n)
-        turns = Rotation.from_rotvec(axes * angles[:, None]).as_matrix()
+        turns = _rotvec_matrices(axes * angles[:, None])
         return mount @ turns
 
 
@@ -310,7 +322,7 @@ def generate(spec: SynthSpec) -> tuple[CaptureSession, SkeletonModel]:
         if sigma_r > 0.0:
             axes = _unit_vectors(rng, n)
             angles = np.abs(rng.normal(0.0, sigma_r, size=n))
-            wobble = Rotation.from_rotvec(axes * angles[:, None]).as_matrix()
+            wobble = _rotvec_matrices(axes * angles[:, None])
             world_R[b] = wobble @ world_R[b]
         if sigma_t > 0.0:
             world_t[b] = world_t[b] + rng.normal(0.0, sigma_t, size=(n, 3))

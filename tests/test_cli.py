@@ -1,5 +1,8 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -16,7 +19,7 @@ from skelfit.skeleton import (
     save_skeleton,
     skeleton_to_dict,
 )
-from skelfit.solver import solve_joint
+from skelfit.solver import MAX_HISTOGRAM_BINS, solve_joint
 from skelfit.synth import generate, linkage_spec, rigid_pair_spec
 
 from conftest import manual_pair_session
@@ -278,6 +281,15 @@ class TestBuildSkeleton:
         assert code == 3
         assert message in captured.err
         assert "joints:" not in captured.out
+
+
+    def test_cyclic_map_fails_before_the_session_is_read(self, tmp_path, capsys):
+        map_path = tmp_path / "parents.csv"
+        map_path.write_text("body,parent\n0,world\n1,2\n2,1\n")
+        missing = tmp_path / "no_such_session.csv"
+        code = main(["build-skeleton", str(missing), "--hierarchy", str(map_path)])
+        assert code == 3
+        assert "error: body 1 does not chain to the root" in capsys.readouterr().err
 
 
 class TestReconstruct:
@@ -619,6 +631,28 @@ class TestExitCodes:
         assert main(["build-skeleton", str(path), "--hierarchy", str(parents)]) == 2
         assert f"{parents}, row 3: expected 2 fields, got 3" in capsys.readouterr().err
 
+    def test_bins_above_cap(self, pair_csv, capsys):
+        path, _ = pair_csv
+        too_many = str(MAX_HISTOGRAM_BINS + 1)
+        with pytest.raises(SystemExit) as exc:
+            main(["residuals", str(path), "1", "0", "--histogram", "h.csv", "--bins", too_many])
+        assert exc.value.code == 2
+        assert f"argument --bins: '{too_many}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["residuals", "solve-joint"])
+    def test_bin_width_implying_too_many_bins(self, pair_csv, tmp_path, capsys, command):
+        path, _ = pair_csv
+        top = float(solve_joint(load_session(path), 1, 0).residual_per_frame.max())
+        width = repr(top / (MAX_HISTOGRAM_BINS + 1))
+        hist_path = tmp_path / "h.csv"
+        argv = [command, str(path), "1", "0", "--histogram", str(hist_path), "--bin-width", width]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: argument --bin-width: " in err
+        assert f"above the cap of {MAX_HISTOGRAM_BINS}" in err
+        assert not hist_path.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -675,3 +709,16 @@ class TestExitCodes:
             main(["calibrate-pair", str(path), "0", "1", "--known-distance", "x"])
         capsys.readouterr()
         assert exc.value.code == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, skelfit.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

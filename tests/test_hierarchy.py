@@ -2,23 +2,36 @@
 import itertools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from skelfit import hierarchy
+from skelfit.capture import BodyTrack, CaptureSession
 from skelfit.errors import DegenerateInputError, IncompleteMatrixError, ParseError
 from skelfit.hierarchy import (
     DEFAULT_LOOP_FACTOR,
     FitMatrix,
     build_fit_matrix,
+    gram_epsilon,
     infer_hierarchy,
     load_parent_map,
     tree_order,
     write_fit_matrix_csv,
     write_parent_map,
 )
-from skelfit.solver import NOISELESS_RANK_TOL
-from skelfit.synth import generate, linkage_spec
+from skelfit.solver import DEFAULT_RANK_TOL, NOISELESS_RANK_TOL, Classification, solve_joint
+from skelfit.synth import (
+    Excitation,
+    NoiseSpec,
+    RootMotion,
+    SynthBody,
+    SynthSpec,
+    figure16_spec,
+    generate,
+    linkage_spec,
+)
 
 
 from conftest import all_labeled_trees as all_trees
@@ -228,6 +241,201 @@ class TestFitMatrixFromSession:
         session, _ = generate(spec)
         with pytest.raises(DegenerateInputError, match=r"pair \(0, 1\)"):
             build_fit_matrix(session)
+
+
+def hinged_figure16(frames, seed):
+    """figure16 with elbows and knees as hinges and tracker noise."""
+    spec = figure16_spec(frames=frames, seed=seed)
+    hinge = Excitation(kind="hinge", axis=(1.0, 0.0, 0.0), max_angle=1.2)
+    bodies = tuple(
+        replace(b, excitation=hinge) if b.body_id in (5, 8, 11, 14) else b for b in spec.bodies
+    )
+    return replace(spec, bodies=bodies, noise=NoiseSpec(sigma_t=0.001, sigma_r=0.003))
+
+
+def random_tree_spec(bodies, frames, seed):
+    """Seeded noiseless random tree: every 4th joint a hinge, the rest cones."""
+    rng = np.random.default_rng(seed)
+    out = [SynthBody(0, None)]
+    for i in range(1, bodies):
+        parent = int(rng.integers(0, i))
+        c, l = rng.uniform(-0.2, 0.2, size=(2, 3))
+        if i % 4 == 0:
+            exc = Excitation(kind="hinge", axis=rng.normal(size=3), max_angle=1.2)
+        else:
+            exc = Excitation(kind="spherical", max_angle=1.2)
+        out.append(SynthBody(i, parent, c=c, l=l, excitation=exc))
+    return SynthSpec(
+        bodies=tuple(out),
+        frame_count=frames,
+        seed=seed,
+        root_motion=RootMotion(kind="random", translation_scale=1.0),
+    )
+
+
+def scaled_rotations(session, factor):
+    """The session with every rotation scaled, so R^T R is not the identity."""
+    tracks = tuple(
+        BodyTrack(b.body_id, b.rotations * factor, b.translations) for b in session.bodies
+    )
+    return CaptureSession(tracks, session.frame_count)
+
+
+def per_pair_table(session, rank_tol):
+    """The epsilon table from one solve_joint per pair, as it was first built."""
+    m = session.body_count
+    W = np.full((m, m), np.nan)
+    for i in range(m):
+        for j in range(i + 1, m):
+            W[i, j] = W[j, i] = solve_joint(session, i, j, rank_tol).epsilon
+    return W
+
+
+@pytest.fixture(scope="module")
+def oracle_sessions():
+    tree = generate(random_tree_spec(24, 300, 5))[0]
+    return {
+        "linkage-noiseless": generate(
+            linkage_spec(frames=300, seed=33, sigma_t=0.0, sigma_r=0.0)
+        )[0],
+        "figure16-hinged-noisy": generate(hinged_figure16(400, 3))[0],
+        "tree24": tree,
+        "tree24-scaled": scaled_rotations(tree, 1.002),
+    }
+
+
+SESSION_NAMES = ["linkage-noiseless", "figure16-hinged-noisy", "tree24", "tree24-scaled"]
+RANK_TOLS = [DEFAULT_RANK_TOL, NOISELESS_RANK_TOL]
+
+
+class TestGramEpsilonOracle:
+    """The Gram-matrix estimate against solve_joint, before any exact re-solve."""
+
+    @pytest.mark.parametrize("rank_tol", RANK_TOLS)
+    @pytest.mark.parametrize("name", SESSION_NAMES)
+    def test_bound_covers_per_pair_svd(self, oracle_sessions, name, rank_tol):
+        session = oracle_sessions[name]
+        eps, bound = gram_epsilon(session, rank_tol)
+        exact = per_pair_table(session, rank_tol)
+        off = ~np.eye(session.body_count, dtype=bool)
+        usable = off & np.isfinite(bound)
+        assert np.array_equal(eps[off], eps.T[off])
+        assert np.array_equal(bound, bound.T, equal_nan=True)
+        assert (bound[off] > 0).all()
+        assert np.all(np.abs(exact**2 - eps**2)[usable] <= bound[usable])
+        # most pairs get a usable bound; the rest are left to solve_joint
+        assert usable.sum() >= 0.9 * off.sum()
+
+    @pytest.mark.parametrize("name", SESSION_NAMES)
+    def test_noiseless_tol_sends_every_dropped_direction_to_the_svd(self, oracle_sessions, name):
+        session = oracle_sessions[name]
+        _, bound = gram_epsilon(session, NOISELESS_RANK_TOL)
+        m = session.body_count
+        for i in range(m):
+            for j in range(i + 1, m):
+                fit = solve_joint(session, i, j, NOISELESS_RANK_TOL)
+                if fit.classification is not Classification.SPHERICAL:
+                    assert bound[i, j] == np.inf, (i, j)
+
+    def test_cutoff_at_a_pairs_own_ratio_is_uncertain(self, oracle_sessions):
+        session = oracle_sessions["figure16-hinged-noisy"]
+        s = solve_joint(session, 5, 4).singular_values
+        _, bound = gram_epsilon(session, rank_tol=float(s[-1] / s[0]))
+        assert bound[4, 5] == bound[5, 4] == np.inf
+
+    def test_noiseless_error_is_rounding_level(self, oracle_sessions):
+        eps, _ = gram_epsilon(oracle_sessions["linkage-noiseless"], NOISELESS_RANK_TOL)
+        exact = per_pair_table(oracle_sessions["linkage-noiseless"], NOISELESS_RANK_TOL)
+        off = ~np.eye(6, dtype=bool)
+        assert np.max(np.abs(eps - exact)[off]) < 1e-7
+
+
+class TestBuildFitMatrixCertified:
+    """The built table gives the per-pair SVD's tree, warnings and tree epsilons."""
+
+    def counted(self, monkeypatch):
+        calls = []
+
+        def counting_solve(session, child, parent, *args, **kwargs):
+            calls.append((child, parent))
+            return solve_joint(session, child, parent, *args, **kwargs)
+
+        monkeypatch.setattr(hierarchy, "solve_joint", counting_solve)
+        return calls
+
+    def assert_same_inference(self, fits, table):
+        for root in (None, 1):
+            got, want = infer_hierarchy(fits, root), infer_hierarchy(FitMatrix(table), root)
+            assert got.parent == want.parent
+            assert got.tree_edges == want.tree_edges
+            assert got.total_epsilon == want.total_epsilon
+            assert got.unused_low_error_edges == want.unused_low_error_edges
+
+    @pytest.mark.parametrize("rank_tol", RANK_TOLS)
+    @pytest.mark.parametrize("name", SESSION_NAMES)
+    def test_matches_per_pair_svd(self, oracle_sessions, monkeypatch, name, rank_tol):
+        session = oracle_sessions[name]
+        calls = self.counted(monkeypatch)
+        fits = build_fit_matrix(session, rank_tol)
+        table = per_pair_table(session, rank_tol)
+        self.assert_same_inference(fits, table)
+        # solved entries, the tree edges among them, equal solve_joint bit for bit
+        tree = infer_hierarchy(fits).tree_edges
+        assert set(tree) <= set(calls)
+        for i, j in calls:
+            assert i < j and fits.epsilon[i, j] == fits.epsilon[j, i] == table[i, j]
+        # every other entry is the estimate, within its bound
+        eps, bound = gram_epsilon(session, rank_tol)
+        for i, j in zip(*np.triu_indices(session.body_count, 1)):
+            if (i, j) not in calls:
+                assert fits.epsilon[i, j] == eps[i, j]
+                assert abs(table[i, j] ** 2 - eps[i, j] ** 2) <= bound[i, j]
+
+    def test_only_tree_edges_solved_on_a_clear_tree(self, oracle_sessions, monkeypatch):
+        session = oracle_sessions["tree24"]
+        calls = self.counted(monkeypatch)
+        fits = build_fit_matrix(session)
+        assert sorted(calls) == infer_hierarchy(fits).tree_edges
+
+    def test_wide_bounds_solved_before_tau(self, monkeypatch):
+        # at a tiny noise level and the noiseless cutoff, the hinges keep a
+        # tiny eigenvalue: their bounds are finite but wide, and left in the
+        # spanning tree of hi they would raise tau over most pairs
+        spec = replace(hinged_figure16(400, 3), noise=NoiseSpec(sigma_t=1e-6, sigma_r=1e-6))
+        session, _ = generate(spec)
+        calls = self.counted(monkeypatch)
+        fits = build_fit_matrix(session, NOISELESS_RANK_TOL)
+        assert sorted(calls) == infer_hierarchy(fits).tree_edges
+        self.assert_same_inference(fits, per_pair_table(session, NOISELESS_RANK_TOL))
+
+    def head_held_rigid(self, **noise):
+        # the head is held rigid to the torso, which has jointed arms, so the
+        # head-arm pairs fit as well as the torso-arm joints
+        spec = linkage_spec(frames=300, seed=35, **noise)
+        held = replace(spec.bodies[1], excitation=Excitation(kind="rigid"))
+        session, _ = generate(replace(spec, bodies=(spec.bodies[0], held, *spec.bodies[2:])))
+        return session, per_pair_table(session, DEFAULT_RANK_TOL)
+
+    def test_rounding_level_tie_solved_exactly(self, monkeypatch):
+        session, table = self.head_held_rigid(sigma_t=0.0, sigma_r=0.0)
+        assert max(table[0, 1], table[0, 2], table[1, 2]) < 1e-12
+        calls = self.counted(monkeypatch)
+        fits = build_fit_matrix(session)
+        assert {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)} <= set(calls)
+        self.assert_same_inference(fits, table)
+
+    def test_loop_warnings_solved_exactly(self, monkeypatch):
+        session, table = self.head_held_rigid()
+        want = infer_hierarchy(FitMatrix(table)).unused_low_error_edges
+        assert [(i, j) for i, j, _ in want] == [(1, 3), (1, 2)]
+        calls = self.counted(monkeypatch)
+        fits = build_fit_matrix(session)
+        assert {(1, 2), (1, 3)} <= set(calls)
+        self.assert_same_inference(fits, table)
+
+    def test_bad_rank_tol_rejected(self, oracle_sessions):
+        with pytest.raises(ValueError, match="rank_tol"):
+            build_fit_matrix(oracle_sessions["tree24"], rank_tol=1.5)
 
 
 def reaches_root_in_m_steps(parent) -> bool:

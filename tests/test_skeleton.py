@@ -96,8 +96,9 @@ class TestParentMapCheckedFirst:
             ({0: None, 1: 2, 2: 1}, "chain"),
             ({0: None, 1: None, 2: 0}, "one root"),
             ({0: None, 1: 0, 2: 7}, "out of range"),
+            ({0: None, 1: 0, 2: 0, 50: 0}, r"body 50 is not in the session \(bodies 0\.\.5\)"),
         ],
-        ids=["cycle", "two-roots", "unknown-parent"],
+        ids=["cycle", "two-roots", "unknown-parent", "body-not-in-session"],
     )
     def test_bad_map_fails_before_any_solve(self, monkeypatch, parent, message):
         session, _ = generate(linkage_spec(frames=40, seed=47))

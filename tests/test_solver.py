@@ -10,6 +10,7 @@ from skelfit.capture import BodyTrack, CaptureSession
 from skelfit.errors import AllZeroError, DegenerateInputError
 from skelfit.rigid import rotation_about_axis
 from skelfit.solver import (
+    MAX_HISTOGRAM_BINS,
     NOISELESS_RANK_TOL,
     Classification,
     assemble_system,
@@ -471,6 +472,21 @@ class TestResidualReports:
     def test_histogram_rejects_bad_binning(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             residual_histogram(self.noisy_fit(n=20), **kwargs)
+
+    def test_bin_count_above_cap_rejected(self):
+        with pytest.raises(ValueError, match=f"at most {MAX_HISTOGRAM_BINS}"):
+            residual_histogram(self.noisy_fit(n=20), bins=MAX_HISTOGRAM_BINS + 1)
+
+    def test_bin_width_implying_too_many_bins_rejected(self):
+        fit = self.noisy_fit(n=20)
+        width = float(fit.residual_per_frame.max()) / (MAX_HISTOGRAM_BINS + 1)
+        message = f"gives {MAX_HISTOGRAM_BINS + 1} bins, above the cap of {MAX_HISTOGRAM_BINS}"
+        with pytest.raises(ValueError, match=message):
+            residual_histogram(fit, bin_width=width)
+
+    def test_bin_width_beyond_float_range_rejected(self):
+        with pytest.raises(ValueError, match="gives inf bins"):
+            residual_histogram(self.noisy_fit(n=20), bin_width=5e-324)
 
     def test_histogram_is_one_sided_and_asymmetric(self):
         fit = self.noisy_fit()
