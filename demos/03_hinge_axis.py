@@ -38,8 +38,8 @@ print("singular values:", np.round(fit.singular_values, 4))
 print("  (the last one collapsed: that direction is the free axis)")
 
 # the recovered axis, up to sign, in each frame
-print("axis in child frame :", np.round(fit.hinge_axis_child, 9))
-print("axis in parent frame:", np.round(fit.hinge_axis_parent, 9))
+print("axis in child frame :", np.round(fit.axis_child, 9))
+print("axis in parent frame:", np.round(fit.axis_parent, 9))
 print("truth (child)       :", np.round(truth.joints[1].axis_child, 9))
 
 # the returned point is the axis point closest to both body origins;

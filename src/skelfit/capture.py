@@ -38,9 +38,10 @@ ORTHO_WARN_ATOL = 1e-3  # advisory bound on sensor rotations' orthonormality
 class BodyTrack:
     """World placements of one body across all frames.
 
-    Rotations are stored stacked as (n, 3, 3) and translations as (n, 3)
-    so per-pair systems can be assembled without touching Python-level
-    Transform objects.
+    Rotations are stored stacked as (n, 3, 3) and translations as (n, 3),
+    so per-pair systems are assembled with whole-array operations.
+    Construction raises ValueError at the first frame holding a NaN or
+    inf, and SingularRotationError at the first singular rotation.
     """
 
     body_id: int
@@ -171,20 +172,22 @@ def load_session(path, unit_scale: float = 1.0) -> CaptureSession:
     for body in range(m):
         data = np.stack([cells[(frame, body)] for frame in range(n)])
         rot = data[:, :9].reshape(n, 3, 3)
-        bad = np.flatnonzero(is_non_finite(rot, data[:, 9:]))
-        if bad.size:
-            lineno = rows[(int(bad[0]), body)]
+        with np.errstate(over="ignore"):  # BodyTrack reports an overflow as non-finite
+            tr = data[:, 9:] * unit_scale
+        # BodyTrack checks each frame once; only on failure is its first bad
+        # frame found again, to name the CSV row
+        try:
+            tracks.append(BodyTrack(body, rot, tr))
+        except ValueError:
+            frame = int(np.flatnonzero(is_non_finite(rot, tr))[0])
             raise ParseError(
-                f"{path} row {lineno}: non-finite value (frame {bad[0]}, body {body})"
-            )
-        tr = data[:, 9:] * unit_scale
-        bad = np.flatnonzero(is_singular(rot))
-        if bad.size:
-            lineno = rows[(int(bad[0]), body)]
+                f"{path} row {rows[(frame, body)]}: non-finite value (frame {frame}, body {body})"
+            ) from None
+        except SingularRotationError:
+            frame = int(np.flatnonzero(is_singular(rot))[0])
             raise SingularRotationError(
-                f"{path} row {lineno}: singular rotation (frame {bad[0]}, body {body})"
-            )
-        tracks.append(BodyTrack(body, rot, tr))
+                f"{path} row {rows[(frame, body)]}: singular rotation (frame {frame}, body {body})"
+            ) from None
 
     return CaptureSession(tuple(tracks), n)
 

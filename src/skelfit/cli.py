@@ -85,11 +85,11 @@ def _fit_report(session: CaptureSession, fit) -> dict:
         "l": [float(x) for x in fit.l],
         "singular_values": [float(x) for x in fit.singular_values],
         "axis_child": None
-        if fit.hinge_axis_child is None
-        else [float(x) for x in fit.hinge_axis_child],
+        if fit.axis_child is None
+        else [float(x) for x in fit.axis_child],
         "axis_parent": None
-        if fit.hinge_axis_parent is None
-        else [float(x) for x in fit.hinge_axis_parent],
+        if fit.axis_parent is None
+        else [float(x) for x in fit.axis_parent],
     }
 
 
@@ -101,8 +101,8 @@ def _print_fit(session: CaptureSession, fit):
     print(f"l: {_fmt_vec(fit.l)}")
     print(f"singular_values: {_fmt_vec(fit.singular_values)}")
     if fit.classification is Classification.HINGE:
-        print(f"axis_child: {_fmt_vec(fit.hinge_axis_child)}")
-        print(f"axis_parent: {_fmt_vec(fit.hinge_axis_parent)}")
+        print(f"axis_child: {_fmt_vec(fit.axis_child)}")
+        print(f"axis_parent: {_fmt_vec(fit.axis_parent)}")
 
 
 class UsageError(Exception):
@@ -135,6 +135,11 @@ def cmd_solve_joint(args) -> int:
 
 
 def cmd_build_skeleton(args) -> int:
+    if args.hierarchy and args.fit_matrix:
+        raise UsageError(
+            "argument --fit-matrix: not allowed with argument --hierarchy "
+            "(a given hierarchy builds no fit matrix)"
+        )
     if args.hierarchy:
         parents = load_parent_map(args.hierarchy)
         tree_order(parents)  # a map that is not one tree fails before the CSV parse
@@ -280,6 +285,16 @@ def _finite_positive(text: str) -> float:
     return value
 
 
+def _open_unit_interval(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number strictly between 0 and 1")
+    return value
+
+
 def _bin_count(text: str) -> int:
     try:
         value = int(text)
@@ -306,7 +321,7 @@ def _add_load_flags(sub):
 def _add_rank_tol(sub):
     sub.add_argument(
         "--rank-tol",
-        type=float,
+        type=_open_unit_interval,
         default=DEFAULT_RANK_TOL,
         help="relative singular-value cutoff (default %(default)g)",
     )

@@ -17,40 +17,26 @@ import numpy as np
 from .capture import BodyTrack, CaptureSession
 from .errors import MissingRotationError, NotAdjacentError, ParseError
 from .hierarchy import build_fit_matrix, infer_hierarchy, tree_order
-from .solver import DEFAULT_RANK_TOL, Classification, solve_joint
-
-
-@dataclass(frozen=True)
-class Joint:
-    """One fitted joint, keyed by its outboard (child) body."""
-
-    body: int
-    parent: int
-    c: np.ndarray
-    l: np.ndarray
-    epsilon: float
-    classification: Classification
-    axis_child: Optional[np.ndarray] = None
-    axis_parent: Optional[np.ndarray] = None
+from .solver import DEFAULT_RANK_TOL, Classification, JointFit, solve_joint
 
 
 @dataclass(frozen=True)
 class SkeletonModel:
-    """A fitted tree: the root body plus one joint per other body.
+    """A fitted tree: the root body plus one JointFit per other body.
 
     Construction raises ValueError unless the joints' parents form one
     tree under the root (see hierarchy.tree_order).
     """
 
     root: int
-    joints: dict[int, Joint] = field(repr=False)
+    joints: dict[int, JointFit] = field(repr=False)
     labels: Optional[dict[int, str]] = None
 
     def __post_init__(self):
         if self.root in self.joints:
             raise ValueError("root body cannot have an inboard joint")
         for body, joint in self.joints.items():
-            if joint.body != body:
+            if joint.child != body:
                 raise ValueError("joint keyed by the wrong body")
         self.topological_order()  # raises unless the joints form one tree
 
@@ -62,11 +48,6 @@ class SkeletonModel:
         parent = {b: j.parent for b, j in self.joints.items()}
         return tree_order({self.root: None, **parent})
 
-    def label_of(self, body: int) -> str:
-        if self.labels and body in self.labels:
-            return self.labels[body]
-        return str(body)
-
 
 def fit_skeleton(
     session: CaptureSession,
@@ -74,6 +55,9 @@ def fit_skeleton(
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> SkeletonModel:
     """Fit one joint per non-root body against its parent.
+
+    Each joint is the JointFit that solve_joint returns, so the model
+    keeps every joint's singular values and per-frame residuals.
 
     hierarchy maps every body to its parent, with None for the one root.
     With hierarchy=None the map is inferred first: the minimum spanning
@@ -90,19 +74,7 @@ def fit_skeleton(
     if extra:
         raise ValueError(f"parent map body {extra[0]} is not in the session (bodies 0..{m - 1})")
 
-    joints: dict[int, Joint] = {}
-    for body in sorted(others):
-        fit = solve_joint(session, body, hierarchy[body], rank_tol)
-        joints[body] = Joint(
-            body=body,
-            parent=hierarchy[body],
-            c=fit.c,
-            l=fit.l,
-            epsilon=fit.epsilon,
-            classification=fit.classification,
-            axis_child=fit.hinge_axis_child,
-            axis_parent=fit.hinge_axis_parent,
-        )
+    joints = {b: solve_joint(session, b, hierarchy[b], rank_tol) for b in sorted(others)}
     labels = {b.body_id: b.label for b in session.bodies if b.label is not None}
     return SkeletonModel(root=root, joints=joints, labels=labels or None)
 
@@ -122,9 +94,9 @@ def limb_length(model: SkeletonModel, joint_a: int, joint_b: int) -> float:
     a, b = model.joints[joint_a], model.joints[joint_b]
     if a.parent == b.parent:
         return float(np.linalg.norm(a.l - b.l))
-    if a.parent == b.body:
+    if a.parent == b.child:
         return float(np.linalg.norm(a.l - b.c))
-    if b.parent == a.body:
+    if b.parent == a.child:
         return float(np.linalg.norm(b.l - a.c))
     raise NotAdjacentError(
         f"joints {joint_a} and {joint_b} do not share a body frame"
@@ -321,7 +293,7 @@ def _field(entry: dict, key: str, where: str, convert):
 def dict_to_skeleton(data: dict) -> SkeletonModel:
     """Inverse of skeleton_to_dict; ParseError names the body and field at fault."""
     root = _field(data, "root", "skeleton", int)
-    joints: dict[int, Joint] = {}
+    joints: dict[int, JointFit] = {}
     labels: dict[int, str] = {}
     for entry in _field(data, "bodies", "skeleton", list):
         body = _field(entry, "id", "body entry", int)
@@ -331,8 +303,8 @@ def dict_to_skeleton(data: dict) -> SkeletonModel:
         if entry.get("parent") is None:
             # older files also gave the root c, l, epsilon_m and so on
             continue
-        joints[body] = Joint(
-            body=body,
+        joints[body] = JointFit(
+            child=body,
             parent=_field(entry, "parent", where, int),
             c=_field(entry, "c", where, _vector3),
             l=_field(entry, "l", where, _vector3),

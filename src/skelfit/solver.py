@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,23 +45,26 @@ class Classification(str, enum.Enum):
 
 @dataclass(frozen=True)
 class JointFit:
-    """Solved joint between a child (outboard) and parent (inboard) body.
+    """One joint between a child (outboard) and parent (inboard) body.
 
     c and l locate the joint in the child and parent frames.  epsilon is
     the RMS of the per-frame residual norms, i.e. how far apart the two
-    bodies' candidate joint points drift over the session.
+    bodies' candidate joint points drift over the session.  A hinge
+    carries its unit axis in both frames.  singular_values (the joint's
+    diagnostic spectrum) and residual_per_frame are set by solve_joint;
+    a joint read from skeleton JSON or taken from synth truth has None.
     """
 
     child: int
     parent: int
     c: np.ndarray
     l: np.ndarray
-    singular_values: np.ndarray
-    residual_per_frame: np.ndarray
     epsilon: float
     classification: Classification
-    hinge_axis_child: Optional[np.ndarray] = None
-    hinge_axis_parent: Optional[np.ndarray] = None
+    axis_child: Optional[np.ndarray] = None
+    axis_parent: Optional[np.ndarray] = None
+    singular_values: Optional[np.ndarray] = None
+    residual_per_frame: Optional[np.ndarray] = None
 
     @property
     def u(self) -> np.ndarray:
@@ -166,12 +170,12 @@ def solve_joint(
         parent=parent,
         c=u[:3],
         l=u[3:],
-        singular_values=s,
-        residual_per_frame=per_frame,
         epsilon=epsilon,
         classification=classification,
-        hinge_axis_child=axis_child,
-        hinge_axis_parent=axis_parent,
+        axis_child=axis_child,
+        axis_parent=axis_parent,
+        singular_values=s,
+        residual_per_frame=per_frame,
     )
 
 
@@ -217,7 +221,7 @@ def residual_histogram(
     than MAX_HISTOGRAM_BINS bins, asked for directly or implied by
     bin_width, raise ValueError before anything is allocated.
     """
-    if not 1 <= bins <= MAX_HISTOGRAM_BINS:
+    if not isinstance(bins, numbers.Integral) or not 1 <= bins <= MAX_HISTOGRAM_BINS:
         raise ValueError(
             f"bins must be a positive integer at most {MAX_HISTOGRAM_BINS}, got {bins!r}"
         )

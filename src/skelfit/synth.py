@@ -25,8 +25,8 @@ from .capture import BodyTrack, CaptureSession
 from .errors import DegenerateInputError, InvalidSpecError, LengthMismatchError
 from .hierarchy import tree_order
 from .rigid import orthonormality_error, rotation_about_axis
-from .skeleton import Joint, SkeletonModel, _chain_world
-from .solver import Classification
+from .skeleton import SkeletonModel, _chain_world
+from .solver import Classification, JointFit
 
 EXCITATION_KINDS = ("spherical", "hinge", "rigid", "scripted")
 ROOT_MOTION_KINDS = ("random", "static")
@@ -282,8 +282,8 @@ def truth_model(spec: SynthSpec) -> SkeletonModel:
         else:
             classification = Classification.SPHERICAL
             axis_child = axis_parent = None
-        joints[body.body_id] = Joint(
-            body=body.body_id,
+        joints[body.body_id] = JointFit(
+            child=body.body_id,
             parent=body.parent,
             c=body.c,
             l=body.l,

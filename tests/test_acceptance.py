@@ -110,8 +110,8 @@ def test_3_hinge_detection(capsys):
     fit = solve_joint(session, 1, 0)
     joint = truth.joints[1]
 
-    angle_c = line_angle(fit.hinge_axis_child, joint.axis_child)
-    angle_p = line_angle(fit.hinge_axis_parent, joint.axis_parent)
+    angle_c = line_angle(fit.axis_child, joint.axis_child)
+    angle_p = line_angle(fit.axis_parent, joint.axis_parent)
     d_c = fit.c - joint.c
     off_c = float(np.linalg.norm(d_c - np.dot(d_c, joint.axis_child) * joint.axis_child))
     d_p = fit.l - joint.l

@@ -2,6 +2,7 @@
 import csv
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skelfit import capture
 from skelfit.capture import (
     CSV_HEADER,
     BodyTrack,
@@ -201,6 +203,32 @@ class TestParseErrors:
         path.write_text("\n".join(",".join(r) for r in rows) + "\n")
         with pytest.raises(SingularRotationError, match="row 3"):
             load_session(path)
+
+    def test_overflow_under_unit_scale_names_row(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_session(path, small_session(n=3, m=2))
+        rows = rows_of(path)
+        rows[4][11] = "1e308"  # frame 1, body 1: finite in the file, inf once scaled
+        path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match=r"row 5: non-finite value \(frame 1, body 1\)"):
+                load_session(path, unit_scale=10.0)
+
+    def test_each_rule_runs_once_per_body(self, tmp_path, monkeypatch):
+        m = 3
+        path = tmp_path / "s.csv"
+        write_session(path, small_session(n=4, m=m))
+        calls = {"is_non_finite": 0, "is_singular": 0}
+        for name in calls:
+
+            def counting(*args, _rule=getattr(capture, name), _name=name):
+                calls[_name] += 1
+                return _rule(*args)
+
+            monkeypatch.setattr(capture, name, counting)
+        load_session(path)
+        assert calls == {"is_non_finite": m, "is_singular": m}
 
     def test_rows_in_any_order(self, tmp_path):
         path = tmp_path / "s.csv"

@@ -283,6 +283,20 @@ class TestBuildSkeleton:
         assert "joints:" not in captured.out
 
 
+    def test_fit_matrix_with_hierarchy_refused_before_the_session_is_read(
+        self, tmp_path, capsys
+    ):
+        map_path = tmp_path / "parents.csv"
+        map_path.write_text("body,parent\n0,world\n1,0\n")
+        matrix_path = tmp_path / "fm.csv"
+        missing = tmp_path / "no_such_session.csv"
+        argv = ["build-skeleton", str(missing), "--hierarchy", str(map_path)]
+        code = main([*argv, "--fit-matrix", str(matrix_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--fit-matrix" in err and "--hierarchy" in err
+        assert not matrix_path.exists()
+
     def test_cyclic_map_fails_before_the_session_is_read(self, tmp_path, capsys):
         map_path = tmp_path / "parents.csv"
         map_path.write_text("body,parent\n0,world\n1,2\n2,1\n")
@@ -549,6 +563,16 @@ class TestExitCodes:
         assert main(args) == 2
         assert "row 7: non-finite value" in capsys.readouterr().err
 
+    def test_translation_overflow_under_unit_scale(self, pair_csv, capsys):
+        path, _ = pair_csv
+        lines = path.read_text().splitlines()
+        cells = lines[6].split(",")
+        cells[11] = "1e308"
+        lines[6] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["solve-joint", str(path), "1", "0", "--unit-scale", "10"]) == 2
+        assert "row 7: non-finite value" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve-joint", str(tmp_path / "nope.csv"), "1", "0"]) == 4
         capsys.readouterr()
@@ -661,6 +685,15 @@ class TestExitCodes:
                 for v in ("nan", "-0.5", "0", "inf")
             ),
             *(["residuals", "1", "0", "--bins", v] for v in ("0", "-3", "2.5", "x")),
+            *(
+                [*command, "--rank-tol", v]
+                for command in (
+                    ["build-skeleton"],
+                    ["solve-joint", "1", "0"],
+                    ["residuals", "1", "0"],
+                )
+                for v in ("nan", "0", "1", "1.5", "-1", "x")
+            ),
             *(
                 [command, "1", "0", "--histogram", "h.csv", "--bin-width", v]
                 for command in ("residuals", "solve-joint")

@@ -10,7 +10,6 @@ from skelfit.capture import BodyTrack, CaptureSession
 from skelfit.errors import MissingRotationError, NotAdjacentError
 from skelfit.rigid import orthonormality_error, rotation_about_axis
 from skelfit.skeleton import (
-    Joint,
     SkeletonModel,
     adjacent_joint_pairs,
     dict_to_skeleton,
@@ -23,7 +22,7 @@ from skelfit.skeleton import (
     save_skeleton,
     skeleton_to_dict,
 )
-from skelfit.solver import NOISELESS_RANK_TOL, Classification, solve_joint
+from skelfit.solver import NOISELESS_RANK_TOL, Classification, JointFit, solve_joint
 from skelfit.synth import generate, linkage_spec
 
 from conftest import haar_rotations, manual_pair_session
@@ -32,8 +31,8 @@ DATA = Path(__file__).parent / "data"
 
 
 def make_joint(body, parent, c, l, cls=Classification.SPHERICAL):
-    return Joint(
-        body=body,
+    return JointFit(
+        child=body,
         parent=parent,
         c=np.asarray(c, dtype=np.float64),
         l=np.asarray(l, dtype=np.float64),
@@ -85,8 +84,31 @@ class TestFitSkeleton:
 
     def test_labels_carried_from_session(self, linkage_clean):
         _, _, _, model = linkage_clean
-        assert model.label_of(0) == "torso"
-        assert model.label_of(5) == "forearm_r"
+        assert model.labels[0] == "torso"
+        assert model.labels[5] == "forearm_r"
+
+    def test_joints_are_the_solver_results(self, monkeypatch, linkage_clean):
+        _, session, _, _ = linkage_clean
+        returned = {}
+
+        def recording_solve(*args, **kwargs):
+            fit = solve_joint(*args, **kwargs)
+            returned[fit.child] = fit
+            return fit
+
+        monkeypatch.setattr(skeleton, "solve_joint", recording_solve)
+        model = fit_skeleton(session, rank_tol=NOISELESS_RANK_TOL)
+        assert set(model.joints) == set(returned)
+        for body, joint in model.joints.items():
+            assert joint is returned[body]
+
+    def test_joints_carry_spectrum_and_residuals(self, linkage_clean):
+        _, session, _, model = linkage_clean
+        for body, joint in model.joints.items():
+            alone = solve_joint(session, body, joint.parent, NOISELESS_RANK_TOL)
+            assert joint.singular_values.tobytes() == alone.singular_values.tobytes()
+            assert joint.residual_per_frame.tobytes() == alone.residual_per_frame.tobytes()
+            assert len(joint.residual_per_frame) == session.frame_count
 
 
 class TestParentMapCheckedFirst:
@@ -413,6 +435,18 @@ class TestSerialization:
             assert np.array_equal(a.l, b.l)
             assert a.epsilon == b.epsilon
             assert a.classification is b.classification
+
+    def test_loaded_joints_have_no_spectrum(self, tmp_path):
+        session, _ = noisy_linkage(frames=100, seed=48)
+        model = fit_skeleton(session)
+        path = tmp_path / "skeleton.json"
+        save_skeleton(path, model)
+        back = load_skeleton(path)
+        assert back.joints
+        for joint in back.joints.values():
+            assert isinstance(joint, JointFit)
+            assert joint.singular_values is None
+            assert joint.residual_per_frame is None
 
     def test_root_row_shape(self):
         model = SkeletonModel(

@@ -184,18 +184,18 @@ class TestHinge:
 
     def test_child_axis_matches_truth(self):
         fit = self.fit()
-        assert line_angle(fit.hinge_axis_child, self.axis) < 1e-6
+        assert line_angle(fit.axis_child, self.axis) < 1e-6
 
     def test_parent_axis_matches_truth(self):
         fit = self.fit()
-        assert line_angle(fit.hinge_axis_parent, self.mount @ self.axis) < 1e-6
+        assert line_angle(fit.axis_parent, self.mount @ self.axis) < 1e-6
 
     def test_skew_axis(self):
         axis = np.array([0.3, -0.5, 0.81])
         axis /= np.linalg.norm(axis)
         fit = self.fit(axis=axis, seed=11)
         assert fit.classification is Classification.HINGE
-        assert line_angle(fit.hinge_axis_child, axis) < 1e-6
+        assert line_angle(fit.axis_child, axis) < 1e-6
 
     def test_joint_point_lies_on_true_axis(self):
         fit = self.fit()
@@ -209,13 +209,13 @@ class TestHinge:
 
     def test_axes_are_unit_length(self):
         fit = self.fit()
-        assert abs(np.linalg.norm(fit.hinge_axis_child) - 1.0) < 1e-9
-        assert abs(np.linalg.norm(fit.hinge_axis_parent) - 1.0) < 1e-9
+        assert abs(np.linalg.norm(fit.axis_child) - 1.0) < 1e-9
+        assert abs(np.linalg.norm(fit.axis_parent) - 1.0) < 1e-9
 
     def test_spherical_fit_has_no_axes(self):
         session = manual_pair_session((0.1, 0, 0), (0.2, 0, 0), n=40, seed=12)
         fit = solve_joint(session, 1, 0)
-        assert fit.hinge_axis_child is None and fit.hinge_axis_parent is None
+        assert fit.axis_child is None and fit.axis_parent is None
 
 
 def quadratic_descent(f, dim, sweeps=8, h=0.25):
@@ -463,11 +463,12 @@ class TestResidualReports:
         [
             {"bins": 0},
             {"bins": -2},
+            {"bins": 2.5},
             {"bin_width": math.nan},
             {"bin_width": math.inf},
             {"bin_width": 0.0},
         ],
-        ids=["bins=0", "bins=-2", "width=nan", "width=inf", "width=0"],
+        ids=["bins=0", "bins=-2", "bins=2.5", "width=nan", "width=inf", "width=0"],
     )
     def test_histogram_rejects_bad_binning(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
