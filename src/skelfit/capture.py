@@ -10,6 +10,16 @@ Rows may appear in any order but every (frame, body) cell must appear
 exactly once.  An optional sidecar maps body indices to labels:
 
     body,label
+
+`load_session` reads a file in two ways.  First it reads the whole table
+of an ASCII file with one `np.loadtxt` pass and checks the (frame, body)
+cells with `np.bincount`; that path reads every good file that
+`write_session` writes.  When it refuses a file, the row parser reads
+the file again.  The row parser stays because it names the row of a bad
+cell, and because it accepts the few tokens loadtxt refuses but `int()`,
+`float()` and the csv module take: digit separators (`1_0`), non-ASCII
+digits and spaces, and quoted cells.  When loadtxt accepts a cell, its
+value equals Python's, bit for bit.
 """
 from __future__ import annotations
 
@@ -29,6 +39,12 @@ from .errors import (
 from .rigid import is_non_finite, is_singular, orthonormality_error
 
 CSV_HEADER = "frame,body,r00,r01,r02,r10,r11,r12,r20,r21,r22,tx,ty,tz"
+
+_ROW_DTYPE = np.dtype(
+    [("frame", np.int64), ("body", np.int64), ("values", np.float64, (12,))]
+)
+
+_WRITE_BLOCK_ROWS = 1024  # rows write_session gathers at once; bounds its extra memory
 
 SHORT_SESSION_FRAMES = 30  # advisory floor for a reliable fit
 ORTHO_WARN_ATOL = 1e-3  # advisory bound on sensor rotations' orthonormality
@@ -128,6 +144,64 @@ def load_session(path, unit_scale: float = 1.0) -> CaptureSession:
     """
     if not 0.0 < unit_scale < math.inf:
         raise ValueError(f"unit_scale must be finite and positive, got {unit_scale!r}")
+    session = _load_table(path, unit_scale)
+    return session if session is not None else _load_rows(path, unit_scale)
+
+
+def _load_table(path, unit_scale: float) -> Optional[CaptureSession]:
+    """The whole-file read: one `np.loadtxt` pass and vectorised checks.
+
+    Returns None when the file is not a good session or holds a token
+    loadtxt refuses; the row parser then reads it again, to load it or
+    to name what is wrong.  Only opening the file can raise.
+
+    The file is decoded as ASCII, so a file holding any other character
+    goes to the row parser: numpy 2.4's loadtxt can crash the process
+    on a high code point such as U+F5075 in an integer column.
+    """
+    with open(path, newline="", encoding="ascii") as fh:
+        try:
+            line = fh.readline()
+            # a quote may span lines, which only the row parser's reader follows
+            if '"' in line:
+                return None
+            if [h.strip() for h in next(csv.reader([line]))] != CSV_HEADER.split(","):
+                return None
+            # loadtxt warns on a file with no data rows; leave those to the row parser
+            start = fh.tell()
+            while (chunk := fh.read(1 << 16)) and not chunk.strip("\r\n"):
+                pass
+            if not chunk:
+                return None
+            fh.seek(start)
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1, dtype=_ROW_DTYPE)
+        except (ValueError, csv.Error):  # a field count, token, int64 range or non-ASCII
+            return None
+
+    frame, body = table["frame"], table["body"]
+    if frame.min() < 0 or body.min() < 0:
+        return None
+    n, m = int(frame.max()) + 1, int(body.max()) + 1
+    # n * m is a Python int, so a huge index is refused before any n-by-m array
+    if n * m != len(table) or not (np.bincount(frame * m + body) == 1).all():
+        return None
+    data = np.empty((m, n, 12))
+    data[body, frame] = table["values"]
+    del table, frame, body
+
+    tracks = []
+    for b in range(m):
+        with np.errstate(over="ignore"):  # BodyTrack reports an overflow as non-finite
+            tr = data[b, :, 9:] * unit_scale
+        try:
+            tracks.append(BodyTrack(b, data[b, :, :9].reshape(n, 3, 3), tr))
+        except (ValueError, SingularRotationError):
+            return None
+    return CaptureSession(tuple(tracks), n)
+
+
+def _load_rows(path, unit_scale: float) -> CaptureSession:
+    """The row parser: reads any good file, and names the row of a bad one."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -194,14 +268,22 @@ def load_session(path, unit_scale: float = 1.0) -> CaptureSession:
 
 def write_session(path, session: CaptureSession):
     """Write the transform-stream CSV; floats round-trip bit-exactly."""
+    n, m = session.frame_count, session.body_count
+    step = max(1, _WRITE_BLOCK_ROWS // max(m, 1))  # frames gathered at a time
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
-        for frame in range(session.frame_count):
-            for body in session.bodies:
-                cells = [str(frame), str(body.body_id)]
-                cells += [repr(float(v)) for v in body.rotations[frame].ravel()]
-                cells += [repr(float(v)) for v in body.translations[frame]]
-                fh.write(",".join(cells) + "\n")
+        for start in range(0, n, step):
+            block = np.empty((min(step, n - start), m, 12))  # body ids are 0..m-1
+            for b in session.bodies:
+                block[:, b.body_id, :9] = b.rotations[start : start + step].reshape(-1, 9)
+                block[:, b.body_id, 9:] = b.translations[start : start + step]
+            for frame, rows in enumerate(block.tolist(), start):
+                fh.write(
+                    "".join(
+                        f"{frame},{body},{','.join(map(repr, row))}\n"
+                        for body, row in enumerate(rows)
+                    )
+                )
 
 
 def load_labels(path) -> dict[int, str]:

@@ -64,9 +64,11 @@ def _fmt_vec(v) -> str:
 
 
 def _load(args) -> CaptureSession:
+    # the small sidecar first, so a bad one fails before the session is parsed
+    labels = load_labels(args.labels) if args.labels else None
     session = load_session(args.session, unit_scale=args.unit_scale)
-    if args.labels:
-        session = with_labels(session, load_labels(args.labels))
+    if labels is not None:
+        session = with_labels(session, labels)
     for message in validate_session(session):
         print(f"warning: {message}", file=sys.stderr)
     return session

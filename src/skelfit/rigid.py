@@ -26,8 +26,14 @@ def is_non_finite(R: np.ndarray, t: np.ndarray) -> np.ndarray:
 def is_singular(R: np.ndarray) -> np.ndarray:
     """True per frame where |det R| <= DET_RTOL * ||R||_F^3; R is (..., 3, 3).
 
-    R must be finite (check with `is_non_finite` first).
+    R must be finite (check with `is_non_finite` first).  Each frame is
+    first scaled by a power of two that brings its largest entry into
+    [0.5, 1), so the det and the norm neither overflow nor underflow.
+    The scaling is exact and the rule is scale-free, so a frame whose
+    unscaled det and norm did not over- or underflow keeps its decision.
     """
+    _, exp = np.frexp(np.abs(R).max(axis=(-2, -1)))
+    R = np.ldexp(R, -exp[..., None, None])
     dets = np.linalg.det(R)
     norms = np.sqrt((R**2).sum(axis=(-2, -1)))
     return np.abs(dets) <= DET_RTOL * norms**3

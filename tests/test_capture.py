@@ -1,5 +1,6 @@
 """Session model and transform-stream CSV ingestion."""
 import csv
+import io
 import math
 import tempfile
 import warnings
@@ -65,6 +66,19 @@ class TestRoundTrip:
             b"1,0,1.0,-0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0,-0.0,0.0,1.0\n"
             b"1,1,1.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0,"
             b"5e-324,1.7976931348623157e+308,0.30000000000000004\n"
+        )
+
+    @pytest.mark.parametrize("block_rows", [1, 4, 7])
+    def test_write_block_size_does_not_change_bytes(self, tmp_path, monkeypatch, block_rows):
+        # 3 bodies and 5 frames: blocks of 1 frame, or of 2 frames with a short last one
+        session = small_session(n=5, m=3, seed=6)
+        whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
+        write_session(whole, session)
+        monkeypatch.setattr(capture, "_WRITE_BLOCK_ROWS", block_rows)
+        write_session(blocked, session)
+        assert blocked.read_bytes() == whole.read_bytes()
+        assert load_session(blocked).track(2).translations.tobytes() == (
+            session.track(2).translations.tobytes()
         )
 
     def test_well_formed_file_loads(self, tmp_path):
@@ -239,6 +253,248 @@ class TestParseErrors:
         path.write_text("\n".join(",".join(r) for r in shuffled) + "\n")
         back = load_session(path)
         assert back.track(0).translations.tobytes() == session.track(0).translations.tobytes()
+
+
+def session_bits(session: CaptureSession) -> list:
+    """Everything a loaded session holds, with floats as their bit patterns."""
+    return [session.frame_count] + [
+        (b.body_id, b.label, b.rotations.view(np.uint64), b.translations.view(np.uint64))
+        for b in session.bodies
+    ]
+
+
+def outcome(load, path, unit_scale):
+    try:
+        return session_bits(load(path, unit_scale))
+    except Exception as exc:  # the oracle compares whatever is raised
+        return type(exc), str(exc)
+
+
+def assert_loads_like_row_parser(path, unit_scale=1.0):
+    """load_session gives what the row parser gives: the same arrays, bit for
+    bit, or the same exception type and message; and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = outcome(capture._load_rows, path, unit_scale)
+        got = outcome(load_session, path, unit_scale)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert not isinstance(got, tuple), got
+        assert got[0] == expected[0]
+        for a, b in zip(got[1:], expected[1:], strict=True):
+            assert a[:2] == b[:2]
+            assert np.array_equal(a[2], b[2]) and np.array_equal(a[3], b[3])
+
+
+GOOD_ROWS = [
+    ",".join(r)
+    for r in [
+        ["0", "0", "1", "0", "0", "0", "1", "0", "0", "0", "1", "0.5", "-0.0", "1e-300"],
+        ["0", "1", "0", "-1", "0", "1", "0", "0", "0", "0", "1", "0.25", "2", "3"],
+        ["1", "0", "1", "0", "0", "0", "0", "-1", "0", "1", "0", "1e-400", "7", "8"],
+        ["1", "1", "0.6", "0.8", "0", "-0.8", "0.6", "0", "0", "0", "1", "4", "5", "6"],
+    ]
+]
+
+
+def with_cell(row: int, column: int, token: str) -> str:
+    rows = [r.split(",") for r in GOOD_ROWS]
+    rows[row][column] = token
+    return CSV_HEADER + "\n" + "".join(",".join(r) + "\n" for r in rows)
+
+
+ORACLE_FILES = {
+    "good": CSV_HEADER + "\n" + "\n".join(GOOD_ROWS) + "\n",
+    "shuffled": CSV_HEADER + "\n" + "\n".join(GOOD_ROWS[i] for i in (3, 0, 2, 1)),
+    "crlf": CSV_HEADER + "\r\n" + "\r\n".join(GOOD_ROWS) + "\r\n",
+    "cr-only": CSV_HEADER + "\r" + "\r".join(GOOD_ROWS) + "\r",
+    "blank-lines": CSV_HEADER + "\n\n" + "\n\n\r\n".join(GOOD_ROWS) + "\n\n",
+    "whitespace-line": CSV_HEADER + "\n" + "\n".join(GOOD_ROWS[:2] + ["  "] + GOOD_ROWS[2:]),
+    "trailing-whitespace": CSV_HEADER + "\n" + " \t\n".join(GOOD_ROWS) + "\t \n",
+    "space-padded-ids": with_cell(2, 0, " 1 "),
+    "underscore-digits": with_cell(2, 0, "0_1"),
+    "quoted-cell": with_cell(1, 4, '"-1"'),
+    "quoted-header": '"frame",' + CSV_HEADER[6:] + "\n" + "\n".join(GOOD_ROWS) + "\n",
+    "header-quote-spans-lines": CSV_HEADER[:-2] + '"tz\n"' + "\n" + "\n".join(GOOD_ROWS),
+    "plus-sign": with_cell(3, 1, "+1"),
+    "float-frame": with_cell(3, 0, "1.0"),
+    "nan": with_cell(1, 7, "nan"),
+    "inf": with_cell(2, 13, "-inf"),
+    "overflowing-float": with_cell(3, 11, "1e400"),
+    "hex-float": with_cell(3, 11, "0x1p3"),
+    "non-ascii-digit": with_cell(3, 1, "١"),
+    "no-break-space": with_cell(3, 12, "2\xa0"),
+    "high-code-point-id": with_cell(1, 1, "\U000f5075"),
+    "extra-field": with_cell(0, 13, "3,4"),
+    "missing-field": CSV_HEADER + "\n" + "\n".join(GOOD_ROWS[:3] + [GOOD_ROWS[3][:-2]]),
+    "trailing-comma": CSV_HEADER + "\n" + ",\n".join(GOOD_ROWS) + ",\n",
+    "negative-id": with_cell(1, 1, "-1"),
+    "duplicate": CSV_HEADER + "\n" + "\n".join(GOOD_ROWS + [GOOD_ROWS[2]]),
+    "missing-cell": CSV_HEADER + "\n" + "\n".join(GOOD_ROWS[:3]),
+    "duplicate-in-place-of-missing": CSV_HEADER + "\n" + "\n".join(GOOD_ROWS[:3] + GOOD_ROWS[:1]),
+    "frame-1e15": with_cell(3, 0, str(10**15)),
+    "frame-over-int64": with_cell(3, 0, str(2**63)),
+    "singular": CSV_HEADER + "\n" + "\n".join(GOOD_ROWS[:3] + ["1,1" + ",0" * 9 + ",4,5,6"]),
+    "header-only": CSV_HEADER + "\n",
+    "header-and-blank-lines": CSV_HEADER + "\n\n\r\n\n",
+    "empty": "",
+    "bad-utf8": None,
+}
+
+
+# the files loadtxt reads; the others go to the row parser, to load or to fail
+FAST_PATH_READS = {
+    "good",
+    "shuffled",
+    "crlf",
+    "cr-only",
+    "blank-lines",
+    "trailing-whitespace",
+    "space-padded-ids",
+    "plus-sign",
+}
+
+
+class TestFastPath:
+    """load_session's loadtxt pass against the row parser as the oracle."""
+
+    @pytest.mark.parametrize("name", ORACLE_FILES)
+    def test_matches_row_parser(self, tmp_path, name):
+        path = tmp_path / "s.csv"
+        text = ORACLE_FILES[name]
+        if text is None:
+            path.write_bytes(CSV_HEADER.encode() + b"\n" + GOOD_ROWS[0].encode() + b"\xff\n")
+        else:
+            path.write_bytes(text.encode())
+        assert_loads_like_row_parser(path)
+        assert (capture._load_table(path, 1.0) is not None) == (name in FAST_PATH_READS)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "negative-id",
+            "duplicate",
+            "missing-cell",
+            "duplicate-in-place-of-missing",
+            "frame-1e15",
+            "frame-over-int64",
+        ],
+    )
+    def test_bad_table_refused_before_any_track(self, tmp_path, monkeypatch, name):
+        # the index checks alone refuse these; no track is built from the table
+        path = tmp_path / "s.csv"
+        path.write_text(ORACLE_FILES[name])
+
+        def no_track(*args):
+            raise AssertionError("track built from a bad table")
+
+        monkeypatch.setattr(capture, "BodyTrack", no_track)
+        assert capture._load_table(path, 1.0) is None
+
+    def test_loadtxt_never_sees_a_non_ascii_character(self, tmp_path, monkeypatch):
+        # numpy 2.4's loadtxt can crash the process on U+F5075 in an int column;
+        # here the bad row comes after the first 64 KiB, past the no-data peek
+        path = tmp_path / "s.csv"
+        write_session(path, small_session(n=300, m=2, seed=7))
+        text = path.read_text()
+        assert len(text) > 1 << 16
+        path.write_text(text.replace("\n299,1,", "\n299,\U000f5075,"), encoding="utf-8")
+        real = np.loadtxt
+
+        def checked(fh, **kwargs):
+            rest = fh.read()
+            assert rest.isascii()
+            return real(io.StringIO(rest), **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", checked)
+        assert capture._load_table(path, 1.0) is None
+        with pytest.raises(ParseError, match="row 601: invalid literal for int"):
+            load_session(path)
+
+    def test_header_only_file_raises_without_warning(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text(CSV_HEADER + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="no data rows"):
+                load_session(path)
+
+    def test_good_file_never_reaches_row_parser(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.csv"
+        session = small_session(n=5, m=3, seed=8)
+        write_session(path, session)
+        rows = rows_of(path)
+        path.write_text("\r\n".join(",".join(r) for r in [rows[0]] + rows[1:][::-1]))
+
+        def refuse(*args):
+            raise AssertionError("row parser called on a good file")
+
+        monkeypatch.setattr(capture, "_load_rows", refuse)
+        back = load_session(path, unit_scale=0.5)
+        for a, b in zip(back.bodies, session.bodies, strict=True):
+            assert a.rotations.tobytes() == b.rotations.tobytes()
+            assert a.translations.tobytes() == (b.translations * 0.5).tobytes()
+
+    def test_token_only_row_parser_reads_still_loads(self, tmp_path):
+        # loadtxt refuses 1_0 and a quoted cell; int()/float() and csv accept them
+        path = tmp_path / "s.csv"
+        path.write_text(with_cell(3, 11, '"1_0"'))
+        assert capture._load_table(path, 1.0) is None
+        session = load_session(path)
+        assert session.track(1).translations[1, 0] == 10.0
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=3),
+        m=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**16),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["cell", "drop", "repeat", "insert"]),
+                st.integers(min_value=0, max_value=99),
+                st.integers(min_value=0, max_value=13),
+                st.one_of(
+                    st.sampled_from(
+                        [
+                            "1_0", '"1"', "+3", " 2 ", "\t1", "1.0", "1e3", "-0", "-1",
+                            "nan", "inf", "-inf", "1e400", "1e-400", "1e308", "0x10",
+                            "٣", "", " ", "1,2", ".5", "5.", "Infinity", "-NaN",
+                            "1\xa0", "9223372036854775808", str(10**15), "0" * 400 + "1",
+                        ]
+                    ),
+                    st.text(st.characters(exclude_categories=("Cs",)), max_size=5),
+                ),
+            ),
+            max_size=3,
+        ),
+        shuffle=st.randoms(use_true_random=False),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        unit_scale=st.sampled_from([1.0, 0.01, 1e300]),
+    )
+    def test_matches_row_parser_on_edited_files(
+        self, n, m, seed, edits, shuffle, newline, unit_scale
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.csv"
+            write_session(path, small_session(n=n, m=m, seed=seed))
+            header, *rows = rows_of(path)
+            shuffle.shuffle(rows)
+            lines = [",".join(r) for r in rows]
+            for kind, at, column, token in edits:
+                k = at % len(lines) if lines else 0
+                if kind == "cell" and lines:
+                    cells = lines[k].split(",")
+                    cells[column % len(cells)] = token
+                    lines[k] = ",".join(cells)
+                elif kind == "drop" and lines:
+                    del lines[k]
+                elif kind == "repeat" and lines:
+                    lines.insert(at % (len(lines) + 1), lines[k])
+                elif kind == "insert":
+                    lines.insert(k, token)
+            path.write_bytes(newline.join([",".join(header)] + lines).encode() + b"\n")
+            assert_loads_like_row_parser(path, unit_scale)
 
 
 class TestModelInvariants:

@@ -573,6 +573,18 @@ class TestExitCodes:
         assert main(["solve-joint", str(path), "1", "0", "--unit-scale", "10"]) == 2
         assert "row 7: non-finite value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("solve-joint", ["1", "0"]), ("build-skeleton", []), ("reconstruct", ["s.json", "o.csv"])],
+    )
+    def test_bad_labels_fail_before_the_session_is_read(self, tmp_path, capsys, command, extra):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id,name\n0,base\n")
+        missing = tmp_path / "nope.csv"
+        args = [command, str(missing), *extra, "--labels", str(labels)]
+        assert main(args) == 2
+        assert f"error: {labels}: bad labels header" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve-joint", str(tmp_path / "nope.csv"), "1", "0"]) == 4
         capsys.readouterr()

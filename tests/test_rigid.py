@@ -1,8 +1,11 @@
 """Rotation rules and rotation_about_axis: hand cases and closed forms."""
+import warnings
+
 import numpy as np
 import pytest
 
 from skelfit.rigid import (
+    DET_RTOL,
     is_non_finite,
     is_singular,
     orthonormality_error,
@@ -28,6 +31,35 @@ class TestValidation:
         assert not is_singular(2.0 * np.eye(3))
         stack = np.stack([2.0 * np.eye(3), np.eye(3), rotation_about_axis(Z, 0.3)])
         assert is_singular(stack).tolist() == [False, False, False]
+
+    @pytest.mark.parametrize("scale", [1e-120, 1e110, 1e160])
+    def test_far_scaled_identity_is_not_singular(self, scale):
+        # det and the norm of these frames over- or underflow unless rescaled
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_singular(scale * np.eye(3))
+            stack = np.stack([scale * np.eye(3), np.eye(3), np.zeros((3, 3))])
+            assert is_singular(stack).tolist() == [False, False, True]
+
+    def test_huge_entry_stays_singular_under_the_rule(self):
+        # |det| = 1e200 is far below DET_RTOL * ||R||_F^3 = 1e588
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_singular(np.diag([1e200, 1.0, 1.0]))
+
+    def test_rescaling_keeps_every_unscaled_decision(self):
+        # scaling by a power of two is exact, so frames whose unscaled det and
+        # norm do not over- or underflow get the decision of the plain formula
+        rng = np.random.default_rng(12)
+        k = 4000
+        u, _, vt = np.linalg.svd(rng.normal(size=(k, 3, 3)))
+        smallest = DET_RTOL * 10.0 ** rng.uniform(-1.0, 1.0, size=k)
+        spectrum = np.stack([np.ones(k), rng.uniform(0.5, 1.0, size=k), smallest], axis=1)
+        R = (u * spectrum[:, None, :]) @ vt
+        R *= np.exp2(rng.integers(-60, 60, size=k))[:, None, None]
+        plain = np.abs(np.linalg.det(R)) <= DET_RTOL * np.sqrt((R**2).sum(axis=(1, 2))) ** 3
+        assert 0 < plain.sum() < k
+        assert np.array_equal(is_singular(R), plain)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, value):
