@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Optional
 
@@ -202,18 +203,16 @@ def _load_table(path, unit_scale: float) -> Optional[CaptureSession]:
 
 def _load_rows(path, unit_scale: float) -> CaptureSession:
     """The row parser: reads any good file, and names the row of a bad one."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
+    with closing(csv_records(path)) as records:
+        _, header = next(records, (1, None))
+        if header is None:
+            raise ParseError(f"{path}: empty file")
         if [h.strip() for h in header] != CSV_HEADER.split(","):
             raise ParseError(f"{path}: bad header {','.join(header)!r}")
 
         cells: dict[tuple[int, int], np.ndarray] = {}
         rows: dict[tuple[int, int], int] = {}
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in records:
             if not row:
                 continue
             if len(row) != 14:
@@ -289,12 +288,11 @@ def write_session(path, session: CaptureSession):
 def load_labels(path) -> dict[int, str]:
     """Read the `body,label` sidecar CSV."""
     labels: dict[int, str] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with closing(csv_records(path)) as records:
+        _, header = next(records, (1, None))
         if header is None or [h.strip() for h in header] != ["body", "label"]:
             raise ParseError(f"{path}: bad labels header")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in records:
             if not row:
                 continue
             if len(row) != 2:
@@ -309,6 +307,25 @@ def load_labels(path) -> dict[int, str]:
                 raise ParseError(f"{path} row {lineno}: label {row[1]!r} names two bodies")
             labels[body] = row[1]
     return labels
+
+
+def csv_records(path):
+    """(row number, fields) for each CSV row of a UTF-8 file, header first as row 1.
+
+    A row the csv module cannot read (a field over its size limit, say)
+    raises ParseError naming the file and row; bytes that are not UTF-8
+    raise ParseError naming the file.
+    """
+    number = 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            for number, row in enumerate(csv.reader(fh), start=1):
+                yield number, row
+        except csv.Error as exc:
+            raise ParseError(f"{path} row {number + 1}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            byte = exc.object[exc.start]
+            raise ParseError(f"{path}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})") from None
 
 
 def write_labels(path, labels: dict[int, str]):

@@ -146,6 +146,10 @@ def cmd_build_skeleton(args) -> int:
         parents = load_parent_map(args.hierarchy)
         tree_order(parents)  # a map that is not one tree fails before the CSV parse
     session = _load(args)
+    m = session.body_count
+    if args.root is not None and not 0 <= args.root < m:
+        # checked before the all-pairs fit, which takes most of the run
+        raise UsageError(f"argument --root: {args.root} is not a body index 0..{m - 1}")
     unused = []
     if not args.hierarchy:
         # inferred here rather than in fit_skeleton: only the CLI writes

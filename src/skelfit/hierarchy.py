@@ -2,25 +2,26 @@
 
 Every unordered body pair gets a joint fit; the fit error is the weight
 of an edge between the two bodies.  The articulated hierarchy is the
-spanning tree of minimum total weight, oriented away from a chosen
-root.  Non-tree edges whose error is still low are reported, since they
-may indicate a loop the tree cannot represent.  The errors of all pairs
-come from one Gram matrix of the body transforms (gram_epsilon); every
-pair that could decide the tree or a loop warning is solved exactly.
-tree_order checks any parent map, inferred or supplied, and orders its
-bodies root first.
+spanning tree of minimum total weight, grown by Prim's algorithm from a
+chosen root under the strict edge order (epsilon, i, j), i < j, so it is
+unique.  Non-tree edges whose error is still low are reported, since
+they may indicate a loop the tree cannot represent.  The errors of all
+pairs come from one Gram matrix of the body transforms (gram_epsilon);
+every pair that could decide the tree or a loop warning is solved
+exactly.  tree_order checks any parent map, inferred or supplied, and
+orders its bodies root first.
 """
 from __future__ import annotations
 
 import csv
 import math
-from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .capture import CaptureSession
+from .capture import CaptureSession, csv_records
 from .errors import IncompleteMatrixError, ParseError, SkelfitError
 from .solver import DEFAULT_RANK_TOL, kept_directions, solve_joint
 
@@ -84,7 +85,8 @@ def build_fit_matrix(
             eps[i, j] = eps[j, i] = lo[i, j] = lo[j, i] = hi[i, j] = hi[j, i] = e
 
     solve(loose)
-    tau = _bottleneck(hi)
+    # every minimum spanning tree has the same largest edge, so any root will do
+    tau = max(hi[b, p] for b, p in _spanning_tree(hi, 0).items() if p is not None)
     solve(~loose & (lo <= DEFAULT_LOOP_FACTOR * tau))
     return FitMatrix(epsilon=eps)
 
@@ -94,21 +96,6 @@ def _exact_epsilon(session: CaptureSession, i: int, j: int, rank_tol: float) -> 
         return solve_joint(session, i, j, rank_tol).epsilon
     except SkelfitError as exc:
         raise type(exc)(f"pair ({i}, {j}): {exc}") from exc
-
-
-def _bottleneck(weights: np.ndarray) -> float:
-    """Largest edge weight on a minimum spanning tree of the complete graph (Prim)."""
-    m = weights.shape[0]
-    reached = np.zeros(m, dtype=bool)
-    reached[0] = True
-    nearest = weights[0].copy()
-    worst = 0.0
-    for _ in range(m - 1):
-        k = int(np.argmin(np.where(reached, np.inf, nearest)))
-        worst = max(worst, float(nearest[k]))
-        reached[k] = True
-        nearest = np.fmin(nearest, weights[k])
-    return worst
 
 
 def _gram(session: CaptureSession) -> np.ndarray:
@@ -251,35 +238,12 @@ class HierarchyResult:
     unused_low_error_edges: list[tuple[int, int, float]]
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.rank = [0] * size
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
-
-
 def infer_hierarchy(fits: FitMatrix, root: Optional[int] = None) -> HierarchyResult:
     """Minimum spanning tree over the fit errors, oriented from a root.
 
-    root defaults to body 0.  Kruskal's algorithm with ties broken by
-    the lexicographically smallest (i, j) pair, so the result is
-    identical across platforms.  Non-tree edges with error at most
+    root defaults to body 0.  Prim's algorithm under the strict edge
+    order (epsilon, i, j), i < j, so the tree is unique and identical
+    across platforms and roots.  Non-tree edges with error at most
     DEFAULT_LOOP_FACTOR times the largest tree-edge error are returned
     as possible unmodeled loops.
     """
@@ -291,52 +255,51 @@ def infer_hierarchy(fits: FitMatrix, root: Optional[int] = None) -> HierarchyRes
     if not 0 <= root < m:
         raise ValueError(f"root index {root} out of range 0..{m - 1}")
 
-    edges = sorted(
-        ((float(fits.epsilon[i, j]), i, j) for i in range(m) for j in range(i + 1, m))
-    )
-    uf = _UnionFind(m)
-    tree: list[tuple[int, int]] = []
-    rest: list[tuple[float, int, int]] = []
-    for w, i, j in edges:
-        if uf.union(i, j):
-            tree.append((i, j))
-        else:
-            rest.append((w, i, j))
-
-    adjacency: dict[int, list[int]] = {i: [] for i in range(m)}
-    for i, j in tree:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    parent = _breadth_first(root, adjacency)
-
-    weights = sorted(float(fits.epsilon[i, j]) for i, j in tree)
+    tree = _spanning_tree(fits.epsilon, root)
+    edges = sorted((min(b, p), max(b, p)) for b, p in tree.items() if p is not None)
+    weights = sorted(float(fits.epsilon[e]) for e in edges)
     total = math.fsum(weights)
     threshold = DEFAULT_LOOP_FACTOR * weights[-1] if weights else 0.0
-    unused = [(i, j, w) for w, i, j in rest if w <= threshold]
-    unused.sort(key=lambda e: (e[2], e[0], e[1]))
+    i, j = np.triu_indices(m, 1)
+    low = np.flatnonzero(fits.epsilon[i, j] <= threshold)
+    low_edges = sorted((float(fits.epsilon[i[k], j[k]]), int(i[k]), int(j[k])) for k in low)
+    in_tree = set(edges)
 
     return HierarchyResult(
-        parent=parent,
+        parent={b: tree[b] for b in tree_order(tree)},
         root=root,
-        tree_edges=sorted(tree),
+        tree_edges=edges,
         total_epsilon=total,
-        unused_low_error_edges=unused,
+        unused_low_error_edges=[(a, b, w) for w, a, b in low_edges if (a, b) not in in_tree],
     )
 
 
-def _breadth_first(root: int, links: Mapping[int, list[int]]) -> dict[int, Optional[int]]:
-    """{body: parent} for each body reached from root, in visit order.
+def _spanning_tree(weights: np.ndarray, root: int) -> dict[int, Optional[int]]:
+    """{body: parent} of the minimum spanning tree of the complete graph.
 
-    Neighbours are visited in index order; the root maps to None.
+    Prim's algorithm from root on the ranks of the edges (i, j), i < j,
+    under the strict order (weights[i, j], i, j).  The ranks are
+    distinct, so the tree is unique: the one Kruskal's algorithm builds
+    under that order, whatever the root.  The diagonal is not read.
     """
+    m = weights.shape[0]
+    i, j = np.triu_indices(m, 1)
+    order = np.lexsort((j, i, weights[i, j]))
+    rank = np.full((m, m), len(order))
+    rank[i[order], j[order]] = rank[j[order], i[order]] = np.arange(len(order))
+
     parent: dict[int, Optional[int]] = {root: None}
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        for nbr in sorted(links[node]):
-            if nbr not in parent:
-                parent[nbr] = node
-                queue.append(nbr)
+    reached = np.zeros(m, dtype=bool)
+    reached[root] = True
+    nearest = rank[root].copy()  # the best rank joining each body to the tree
+    link = np.full(m, root)  # the tree body at the other end of that edge
+    for _ in range(m - 1):
+        k = int(np.argmin(np.where(reached, len(order), nearest)))
+        parent[k] = int(link[k])
+        reached[k] = True
+        closer = rank[k] < nearest
+        nearest[closer] = rank[k, closer]
+        link[closer] = k
     return parent
 
 
@@ -357,7 +320,9 @@ def tree_order(parent: Mapping[int, Optional[int]]) -> list[int]:
         if p not in children:
             raise ValueError(f"body {body}: parent {p} out of range (not in the map)")
         children[p].append(body)
-    order = list(_breadth_first(roots[0], children))
+    order = [roots[0]]
+    for body in order:  # each body is one parent's child, so none is reached twice
+        order.extend(sorted(children[body]))
     if len(order) < len(parent):
         body = min(set(parent) - set(order))
         raise ValueError(f"body {body} does not chain to the root (parent cycle)")
@@ -380,12 +345,11 @@ def load_parent_map(path) -> dict[int, Optional[int]]:
     Whether the rows form one tree is left to tree_order.
     """
     parent: dict[int, Optional[int]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with closing(csv_records(path)) as records:
+        _, header = next(records, (1, None))
         if header is None or [h.strip() for h in header] != ["body", "parent"]:
             raise ParseError(f"{path}: bad hierarchy header")
-        for number, row in enumerate(reader, start=2):
+        for number, row in records:
             if not row:
                 continue
             if len(row) > 2:

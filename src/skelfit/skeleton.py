@@ -91,28 +91,40 @@ def limb_length(model: SkeletonModel, joint_a: int, joint_b: int) -> float:
     for idx in (joint_a, joint_b):
         if idx not in model.joints:
             raise NotAdjacentError(f"body {idx} has no inboard joint")
-    a, b = model.joints[joint_a], model.joints[joint_b]
-    if a.parent == b.parent:
-        return float(np.linalg.norm(a.l - b.l))
-    if a.parent == b.child:
-        return float(np.linalg.norm(a.l - b.c))
-    if b.parent == a.child:
-        return float(np.linalg.norm(b.l - a.c))
-    raise NotAdjacentError(
-        f"joints {joint_a} and {joint_b} do not share a body frame"
-    )
+    points = _shared_frame_points(model.joints[joint_a], model.joints[joint_b])
+    if points is None:
+        raise NotAdjacentError(
+            f"joints {joint_a} and {joint_b} do not share a body frame"
+        )
+    return float(np.linalg.norm(points[0] - points[1]))
 
 
 def adjacent_joint_pairs(model: SkeletonModel) -> list[tuple[int, int]]:
     """Joint pairs with a defined limb length, in index order."""
     ids = sorted(model.joints)
-    pairs = []
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            ja, jb = model.joints[a], model.joints[b]
-            if ja.parent == jb.parent or ja.parent == b or jb.parent == a:
-                pairs.append((a, b))
-    return pairs
+    return [
+        (a, b)
+        for k, a in enumerate(ids)
+        for b in ids[k + 1 :]
+        if _shared_frame_points(model.joints[a], model.joints[b]) is not None
+    ]
+
+
+def _shared_frame_points(
+    a: JointFit, b: JointFit
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Both joints' locations in a body frame they share, or None.
+
+    Siblings share their parent's frame; when one joint's parent is the
+    other's child, they share that body's frame.
+    """
+    if a.parent == b.parent:
+        return a.l, b.l
+    if a.parent == b.child:
+        return a.l, b.c
+    if b.parent == a.child:
+        return b.l, a.c
+    return None
 
 
 def _chain_world(
@@ -295,9 +307,13 @@ def dict_to_skeleton(data: dict) -> SkeletonModel:
     root = _field(data, "root", "skeleton", int)
     joints: dict[int, JointFit] = {}
     labels: dict[int, str] = {}
+    seen: set[int] = set()
     for entry in _field(data, "bodies", "skeleton", list):
         body = _field(entry, "id", "body entry", int)
         where = f"body {body}"
+        if body in seen:
+            raise ParseError(f"{where}: listed twice")
+        seen.add(body)
         if entry.get("label") is not None:
             labels[body] = entry["label"]
         if entry.get("parent") is None:

@@ -2,6 +2,7 @@
 import csv
 import io
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -29,6 +30,7 @@ from skelfit.errors import (
     ParseError,
     SingularRotationError,
 )
+from skelfit.hierarchy import load_parent_map
 from conftest import haar_rotations
 
 
@@ -571,6 +573,32 @@ class TestLabels:
         session = with_labels(small_session(), {1: "tip"})
         assert session.label_of(1) == "tip"
         assert session.label_of(0) == "0"
+
+
+# row 2 holds a field over the csv module's 131 072-character limit, or a 0xFF byte
+RECORD_FAULTS = {
+    "long-field": (b"x" * 200_000, "{path} row 2: field larger than field limit (131072)"),
+    "not-utf8": (b"\xff", "{path}: not UTF-8 text (byte 0xff: invalid start byte)"),
+}
+
+
+class TestRecordFaults:
+    @pytest.mark.parametrize("fault", sorted(RECORD_FAULTS))
+    @pytest.mark.parametrize(
+        "read, header",
+        [
+            (load_session, CSV_HEADER),
+            (load_labels, "body,label"),
+            (load_parent_map, "body,parent"),
+        ],
+        ids=["session", "labels", "parent-map"],
+    )
+    def test_fault_is_a_parse_error_naming_the_file(self, tmp_path, read, header, fault):
+        cell, message = RECORD_FAULTS[fault]
+        path = tmp_path / "in.csv"
+        path.write_bytes(header.encode() + b"\n0," + cell + b"\n")
+        with pytest.raises(ParseError, match=re.escape(message.format(path=path))):
+            read(path)
 
 
 class TestValidate:

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skelfit.capture import load_session, write_labels, write_session
+from skelfit import cli
+from skelfit.capture import CSV_HEADER, load_session, write_labels, write_session
 from skelfit.cli import main
 from skelfit.hierarchy import write_parent_map
 from skelfit.skeleton import (
@@ -246,6 +247,18 @@ class TestBuildSkeleton:
         capsys.readouterr()
         assert code == 0
         assert load_skeleton(skel_path).root == 3
+
+    @pytest.mark.parametrize("root", ["99", "-1"])
+    def test_root_out_of_range_fails_before_the_fit(self, pair_csv, capsys, monkeypatch, root):
+        path, _ = pair_csv
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit matrix built")
+
+        monkeypatch.setattr(cli, "build_fit_matrix", no_fit)
+        assert main(["build-skeleton", str(path), "--root", root]) == 2
+        message = f"error: argument --root: {root} is not a body index 0..1"
+        assert message in capsys.readouterr().err
 
     def test_hierarchy_and_root_conflict(self, linkage_dir, tmp_path, capsys):
         base, _, _ = linkage_dir
@@ -585,6 +598,24 @@ class TestExitCodes:
         assert main(args) == 2
         assert f"error: {labels}: bad labels header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            (b"x" * 200_000, " row 2: field larger than field limit"),
+            (b"\xff", ": not UTF-8 text (byte 0xff"),
+        ],
+        ids=["long-field", "not-utf8"],
+    )
+    @pytest.mark.parametrize("flag", [None, "--labels", "--hierarchy"])
+    def test_unreadable_csv_record(self, pair_csv, tmp_path, capsys, flag, cell, message):
+        path, _ = pair_csv
+        header = {None: CSV_HEADER, "--labels": "body,label", "--hierarchy": "body,parent"}
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(header[flag].encode() + b"\n0," + cell + b"\n")
+        args = [str(bad)] if flag is None else [str(path), flag, str(bad)]
+        assert main(["build-skeleton", *args]) == 2
+        assert f"error: {bad}{message}" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve-joint", str(tmp_path / "nope.csv"), "1", "0"]) == 4
         capsys.readouterr()
@@ -632,8 +663,9 @@ class TestExitCodes:
                 "body 1: bad c: ",
             ),
             (lambda data: data["bodies"].append(7), "body entry: missing key 'id'"),
+            (lambda data: data["bodies"].append(dict(data["bodies"][1])), "body 1: listed twice"),
         ],
-        ids=["no-root", "short-c", "nan-c", "not-an-object"],
+        ids=["no-root", "short-c", "nan-c", "not-an-object", "duplicate-body"],
     )
     def test_malformed_skeleton_json(self, pair_csv, tmp_path, capsys, damage, message):
         path, session = pair_csv

@@ -84,6 +84,21 @@ class TestDeterminism:
         assert result.tree_edges == [(0, 1), (0, 2), (0, 3)]
         assert result.parent == {0: None, 1: 0, 2: 0, 3: 0}
 
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_ties_pick_the_lexicographically_least_tree(self, m):
+        # with every edge ranked by (w, i, j), the minimum spanning tree is
+        # the one whose sorted edge ranks are lexicographically least
+        trees = all_trees(m)
+        i, j = np.triu_indices(m, 1)
+        rng = np.random.default_rng(m)
+        for _ in range(10):
+            W = np.full((m, m), np.nan)
+            W[i, j] = W[j, i] = rng.choice([0.0, -0.0, 1.0, 2.0], size=len(i))
+            best = min(trees, key=lambda t: sorted((float(W[a, b]), a, b) for a, b in t))
+            for root in range(m):
+                result = infer_hierarchy(weight_only_matrix(W), root=root)
+                assert result.tree_edges == sorted(best)
+
     def test_repeat_runs_identical(self):
         rng = np.random.default_rng(77)
         W = random_weight_matrix(rng, 6)
