@@ -1,4 +1,4 @@
-"""Capture-session data model and transform-stream CSV ingestion.
+"""Capture-session data model, and the one home of skelfit's file formats.
 
 A session is m body tracks, each holding n world placements sampled at
 the same n frames.  The on-disk format is one CSV row per (frame, body)
@@ -20,10 +20,15 @@ cell, and because it accepts the few tokens loadtxt refuses but `int()`,
 `float()` and the csv module take: digit separators (`1_0`), non-ASCII
 digits and spaces, and quoted cells.  When loadtxt accepts a cell, its
 value equals Python's, bit for bit.
+
+Every other CSV or JSON file goes through `csv_records`, `write_csv`,
+`read_json` and `write_json`, as UTF-8; bad text raises ParseError naming
+the file.  `json_integer` refuses a bool, float or string as an integer.
 """
 from __future__ import annotations
 
 import csv
+import json
 import math
 from contextlib import closing
 from dataclasses import dataclass
@@ -164,9 +169,7 @@ def _load_table(path, unit_scale: float) -> Optional[CaptureSession]:
         try:
             line = fh.readline()
             # a quote may span lines, which only the row parser's reader follows
-            if '"' in line:
-                return None
-            if [h.strip() for h in next(csv.reader([line]))] != CSV_HEADER.split(","):
+            if '"' in line or not _is_header(next(csv.reader([line])), CSV_HEADER):
                 return None
             # loadtxt warns on a file with no data rows; leave those to the row parser
             start = fh.tell()
@@ -203,18 +206,10 @@ def _load_table(path, unit_scale: float) -> Optional[CaptureSession]:
 
 def _load_rows(path, unit_scale: float) -> CaptureSession:
     """The row parser: reads any good file, and names the row of a bad one."""
-    with closing(csv_records(path)) as records:
-        _, header = next(records, (1, None))
-        if header is None:
-            raise ParseError(f"{path}: empty file")
-        if [h.strip() for h in header] != CSV_HEADER.split(","):
-            raise ParseError(f"{path}: bad header {','.join(header)!r}")
-
-        cells: dict[tuple[int, int], np.ndarray] = {}
-        rows: dict[tuple[int, int], int] = {}
+    cells: dict[tuple[int, int], np.ndarray] = {}
+    rows: dict[tuple[int, int], int] = {}
+    with closing(csv_records(path, CSV_HEADER)) as records:
         for lineno, row in records:
-            if not row:
-                continue
             if len(row) != 14:
                 raise ParseError(f"{path} row {lineno}: expected 14 fields, got {len(row)}")
             try:
@@ -288,13 +283,8 @@ def write_session(path, session: CaptureSession):
 def load_labels(path) -> dict[int, str]:
     """Read the `body,label` sidecar CSV."""
     labels: dict[int, str] = {}
-    with closing(csv_records(path)) as records:
-        _, header = next(records, (1, None))
-        if header is None or [h.strip() for h in header] != ["body", "label"]:
-            raise ParseError(f"{path}: bad labels header")
+    with closing(csv_records(path, "body,label")) as records:
         for lineno, row in records:
-            if not row:
-                continue
             if len(row) != 2:
                 raise ParseError(f"{path} row {lineno}: expected 2 fields")
             try:
@@ -309,31 +299,72 @@ def load_labels(path) -> dict[int, str]:
     return labels
 
 
-def csv_records(path):
-    """(row number, fields) for each CSV row of a UTF-8 file, header first as row 1.
+def csv_records(path, header: str):
+    """(row number, fields) for each non-blank CSV row of a UTF-8 file after its header.
 
-    A row the csv module cannot read (a field over its size limit, say)
-    raises ParseError naming the file and row; bytes that are not UTF-8
-    raise ParseError naming the file.
+    Row 1 must match `header` once its fields are stripped.  A field over
+    the csv module's size limit, or bytes that are not UTF-8, raise
+    ParseError naming the file and where in it.
     """
-    number = 0
+    number = 0  # rows read so far, so a csv.Error names the next one
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             for number, row in enumerate(csv.reader(fh), start=1):
-                yield number, row
+                if number == 1 and not _is_header(row, header):
+                    raise ParseError(f"{path}: bad header {','.join(row)!r}")
+                if number > 1 and row:
+                    yield number, row
         except csv.Error as exc:
             raise ParseError(f"{path} row {number + 1}: {exc}") from None
         except UnicodeDecodeError as exc:
-            byte = exc.object[exc.start]
-            raise ParseError(f"{path}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})") from None
+            raise _not_utf8(path, exc) from None
+    if number == 0:
+        raise ParseError(f"{path}: empty file")
+
+
+def _is_header(fields: list[str], header: str) -> bool:
+    return [f.strip() for f in fields] == header.split(",")
+
+
+def _not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
+    byte = exc.object[exc.start]
+    return ParseError(f"{path}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})")
+
+
+def write_csv(path, header: str, rows):
+    """Write `header` then each row of fields, as UTF-8 through csv.writer."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header.split(","))
+        writer.writerows(rows)
+
+
+def read_json(path):
+    """The JSON value in a UTF-8 file; malformed text raises ParseError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def write_json(path, data):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
+
+
+def json_integer(value) -> int:
+    """A JSON integer as an int; ValueError for a bool, a float, a string or null."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{value!r} is not a JSON integer")
+    return value
 
 
 def write_labels(path, labels: dict[int, str]):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["body", "label"])
-        for body in sorted(labels):
-            writer.writerow([body, labels[body]])
+    write_csv(path, "body,label", ([body, labels[body]] for body in sorted(labels)))
 
 
 def with_labels(session: CaptureSession, labels: dict[int, str]) -> CaptureSession:

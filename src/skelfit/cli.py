@@ -20,6 +20,7 @@ from .capture import (
     load_labels,
     load_session,
     with_labels,
+    write_json,
     write_labels,
     write_session,
 )
@@ -126,9 +127,7 @@ def cmd_solve_joint(args) -> int:
     fit = solve_joint(session, child, parent, rank_tol=args.rank_tol)
     _print_fit(session, fit)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(_fit_report(session, fit), fh, indent=2)
-            fh.write("\n")
+        write_json(args.output, _fit_report(session, fit))
     if args.residuals:
         write_residual_csv(args.residuals, fit)
     if args.histogram:
@@ -256,9 +255,7 @@ def cmd_calibrate_pair(args) -> int:
             "scale": cal.scale,
             "known_distance": args.known_distance,
         }
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        write_json(args.output, report)
     return 0
 
 
@@ -417,9 +414,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except (ParseError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -13,7 +13,6 @@ orders its bodies root first.
 """
 from __future__ import annotations
 
-import csv
 import math
 from contextlib import closing
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .capture import CaptureSession, csv_records
+from .capture import CaptureSession, csv_records, write_csv
 from .errors import IncompleteMatrixError, ParseError, SkelfitError
 from .solver import DEFAULT_RANK_TOL, kept_directions, solve_joint
 
@@ -330,13 +329,9 @@ def tree_order(parent: Mapping[int, Optional[int]]) -> list[int]:
 
 
 def write_fit_matrix_csv(path, fits: FitMatrix):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["body_i", "body_j", "epsilon_m"])
-        m = fits.size
-        for i in range(m):
-            for j in range(i + 1, m):
-                writer.writerow([i, j, repr(float(fits.epsilon[i, j]))])
+    m = fits.size
+    rows = ([i, j, repr(float(fits.epsilon[i, j]))] for i in range(m) for j in range(i + 1, m))
+    write_csv(path, "body_i,body_j,epsilon_m", rows)
 
 
 def load_parent_map(path) -> dict[int, Optional[int]]:
@@ -345,13 +340,8 @@ def load_parent_map(path) -> dict[int, Optional[int]]:
     Whether the rows form one tree is left to tree_order.
     """
     parent: dict[int, Optional[int]] = {}
-    with closing(csv_records(path)) as records:
-        _, header = next(records, (1, None))
-        if header is None or [h.strip() for h in header] != ["body", "parent"]:
-            raise ParseError(f"{path}: bad hierarchy header")
+    with closing(csv_records(path, "body,parent")) as records:
         for number, row in records:
-            if not row:
-                continue
             if len(row) > 2:
                 raise ParseError(f"{path}, row {number}: expected 2 fields, got {len(row)}")
             cell = row[1].strip() if len(row) > 1 else ""
@@ -367,9 +357,5 @@ def load_parent_map(path) -> dict[int, Optional[int]]:
 
 
 def write_parent_map(path, parent: dict[int, Optional[int]]):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["body", "parent"])
-        for body in sorted(parent):
-            p = parent[body]
-            writer.writerow([body, "world" if p is None else p])
+    rows = ([body, "world" if parent[body] is None else parent[body]] for body in sorted(parent))
+    write_csv(path, "body,parent", rows)

@@ -8,13 +8,12 @@ together exactly.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .capture import BodyTrack, CaptureSession
+from .capture import BodyTrack, CaptureSession, json_integer, read_json, write_json
 from .errors import MissingRotationError, NotAdjacentError, ParseError
 from .hierarchy import build_fit_matrix, infer_hierarchy, tree_order
 from .solver import DEFAULT_RANK_TOL, Classification, JointFit, solve_joint
@@ -304,12 +303,12 @@ def _field(entry: dict, key: str, where: str, convert):
 
 def dict_to_skeleton(data: dict) -> SkeletonModel:
     """Inverse of skeleton_to_dict; ParseError names the body and field at fault."""
-    root = _field(data, "root", "skeleton", int)
+    root = _field(data, "root", "skeleton", json_integer)
     joints: dict[int, JointFit] = {}
     labels: dict[int, str] = {}
     seen: set[int] = set()
     for entry in _field(data, "bodies", "skeleton", list):
-        body = _field(entry, "id", "body entry", int)
+        body = _field(entry, "id", "body entry", json_integer)
         where = f"body {body}"
         if body in seen:
             raise ParseError(f"{where}: listed twice")
@@ -321,7 +320,7 @@ def dict_to_skeleton(data: dict) -> SkeletonModel:
             continue
         joints[body] = JointFit(
             child=body,
-            parent=_field(entry, "parent", where, int),
+            parent=_field(entry, "parent", where, json_integer),
             c=_field(entry, "c", where, _vector3),
             l=_field(entry, "l", where, _vector3),
             epsilon=_field(entry, "epsilon_m", where, float),
@@ -337,11 +336,8 @@ def dict_to_skeleton(data: dict) -> SkeletonModel:
 
 
 def save_skeleton(path, model: SkeletonModel):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(skeleton_to_dict(model), fh, indent=2)
-        fh.write("\n")
+    write_json(path, skeleton_to_dict(model))
 
 
 def load_skeleton(path) -> SkeletonModel:
-    with open(path, encoding="utf-8") as fh:
-        return dict_to_skeleton(json.load(fh))
+    return dict_to_skeleton(read_json(path))

@@ -15,7 +15,6 @@ point stays closest to both body origins.
 """
 from __future__ import annotations
 
-import csv
 import enum
 import math
 import numbers
@@ -24,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .capture import CaptureSession
+from .capture import CaptureSession, write_csv
 from .errors import AllZeroError, DegenerateInputError
 
 DEFAULT_RANK_TOL = 1e-5
@@ -245,16 +244,10 @@ def residual_histogram(
 
 
 def write_residual_csv(path, fit: JointFit):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame", "residual_m"])
-        for k, r in enumerate(fit.residual_per_frame):
-            writer.writerow([k, repr(float(r))])
+    rows = ([k, repr(float(r))] for k, r in enumerate(fit.residual_per_frame))
+    write_csv(path, "frame,residual_m", rows)
 
 
 def write_histogram_csv(path, hist: ResidualHistogram):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lo", "bin_hi", "count"])
-        for lo, hi, count in hist.rows():
-            writer.writerow([repr(lo), repr(hi), count])
+    rows = ([repr(lo), repr(hi), count] for lo, hi, count in hist.rows())
+    write_csv(path, "bin_lo,bin_hi,count", rows)

@@ -14,14 +14,13 @@ sessions byte for byte.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .capture import BodyTrack, CaptureSession
+from .capture import BodyTrack, CaptureSession, json_integer, read_json, write_json
 from .errors import DegenerateInputError, InvalidSpecError, LengthMismatchError
 from .hierarchy import tree_order
 from .rigid import orthonormality_error, rotation_about_axis
@@ -161,6 +160,8 @@ class RootMotion:
             raise InvalidSpecError(f"unknown root motion kind {self.kind!r}")
         if not 0.0 <= self.translation_scale < math.inf:
             raise InvalidSpecError("translation_scale must be finite and nonnegative")
+        if not isinstance(self.rotate, bool):
+            raise InvalidSpecError(f"rotate must be a bool, got {self.rotate!r}")
 
     def sample(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         if self.kind == "static":
@@ -557,8 +558,8 @@ def dict_to_spec(data: dict) -> SynthSpec:
             )
             bodies.append(
                 SynthBody(
-                    body_id=int(entry["id"]),
-                    parent=None if entry["parent"] is None else int(entry["parent"]),
+                    body_id=json_integer(entry["id"]),
+                    parent=None if entry["parent"] is None else json_integer(entry["parent"]),
                     c=entry.get("c", (0.0, 0.0, 0.0)),
                     l=entry.get("l", (0.0, 0.0, 0.0)),
                     excitation=exc,
@@ -571,12 +572,12 @@ def dict_to_spec(data: dict) -> SynthSpec:
         _check_keys(noise_data, _NOISE_KEYS, "noise")
         return SynthSpec(
             bodies=tuple(bodies),
-            frame_count=int(data["frame_count"]),
-            seed=int(data.get("seed", 0)),
+            frame_count=json_integer(data["frame_count"]),
+            seed=json_integer(data.get("seed", 0)),
             root_motion=RootMotion(
                 kind=motion_data.get("kind", "random"),
                 translation_scale=float(motion_data.get("translation_scale", 1.0)),
-                rotate=bool(motion_data.get("rotate", True)),
+                rotate=motion_data.get("rotate", True),
             ),
             noise=NoiseSpec(
                 sigma_t=float(noise_data.get("sigma_t", 0.0)),
@@ -590,14 +591,11 @@ def dict_to_spec(data: dict) -> SynthSpec:
 
 
 def save_spec(path, spec: SynthSpec):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec_to_dict(spec), fh, indent=2)
-        fh.write("\n")
+    write_json(path, spec_to_dict(spec))
 
 
 def load_spec(path) -> SynthSpec:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, dict):
         raise InvalidSpecError("synth spec must be a JSON object")
     return dict_to_spec(data)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -10,18 +11,41 @@ import numpy as np
 import pytest
 
 from skelfit import cli
-from skelfit.capture import CSV_HEADER, load_session, write_labels, write_session
+from skelfit.capture import (
+    CSV_HEADER,
+    BodyTrack,
+    CaptureSession,
+    load_session,
+    write_labels,
+    write_session,
+)
 from skelfit.cli import main
-from skelfit.hierarchy import write_parent_map
+from skelfit.hierarchy import FitMatrix, write_fit_matrix_csv, write_parent_map
 from skelfit.skeleton import (
+    SkeletonModel,
     fit_skeleton,
     joint_gaps,
     load_skeleton,
     save_skeleton,
     skeleton_to_dict,
 )
-from skelfit.solver import MAX_HISTOGRAM_BINS, solve_joint
-from skelfit.synth import generate, linkage_spec, rigid_pair_spec
+from skelfit.solver import (
+    MAX_HISTOGRAM_BINS,
+    Classification,
+    JointFit,
+    ResidualHistogram,
+    solve_joint,
+    write_histogram_csv,
+    write_residual_csv,
+)
+from skelfit.synth import (
+    SynthBody,
+    SynthSpec,
+    generate,
+    linkage_spec,
+    rigid_pair_spec,
+    save_spec,
+)
 
 from conftest import manual_pair_session
 
@@ -596,7 +620,7 @@ class TestExitCodes:
         missing = tmp_path / "nope.csv"
         args = [command, str(missing), *extra, "--labels", str(labels)]
         assert main(args) == 2
-        assert f"error: {labels}: bad labels header" in capsys.readouterr().err
+        assert f"error: {labels}: bad header 'id,name'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "cell, message",
@@ -614,6 +638,26 @@ class TestExitCodes:
         bad.write_bytes(header[flag].encode() + b"\n0," + cell + b"\n")
         args = [str(bad)] if flag is None else [str(path), flag, str(bad)]
         assert main(["build-skeleton", *args]) == 2
+        assert f"error: {bad}{message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b'{"root": 0, "bodies": ["\xff"]}', ": not UTF-8 text (byte 0xff"),
+            (b"[" * 100_000, ": maximum recursion depth exceeded"),
+        ],
+        ids=["not-utf8", "nested-too-deep"],
+    )
+    @pytest.mark.parametrize("command", ["reconstruct", "synth"])
+    def test_unreadable_json(self, pair_csv, tmp_path, capsys, command, text, message):
+        path, _ = pair_csv
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        if command == "reconstruct":
+            args = ["reconstruct", str(path), str(bad), str(tmp_path / "out.csv")]
+        else:
+            args = ["synth", "--spec", str(bad), "--out-dir", str(tmp_path / "out")]
+        assert main(args) == 2
         assert f"error: {bad}{message}" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
@@ -664,8 +708,32 @@ class TestExitCodes:
             ),
             (lambda data: data["bodies"].append(7), "body entry: missing key 'id'"),
             (lambda data: data["bodies"].append(dict(data["bodies"][1])), "body 1: listed twice"),
+            # a float or a bool once truncated to a body id
+            (
+                lambda data: data["bodies"][1].update(parent=0.7),
+                "body 1: bad parent: 0.7 is not a JSON integer",
+            ),
+            (
+                lambda data: data["bodies"][1].update(parent=False),
+                "body 1: bad parent: False is not a JSON integer",
+            ),
+            (lambda data: data.update(root=0.0), "skeleton: bad root: 0.0 is not a JSON integer"),
+            (
+                lambda data: data["bodies"][1].update(id=1.9),
+                "body entry: bad id: 1.9 is not a JSON integer",
+            ),
         ],
-        ids=["no-root", "short-c", "nan-c", "not-an-object", "duplicate-body"],
+        ids=[
+            "no-root",
+            "short-c",
+            "nan-c",
+            "not-an-object",
+            "duplicate-body",
+            "float-parent",
+            "bool-parent",
+            "float-root",
+            "float-id",
+        ],
     )
     def test_malformed_skeleton_json(self, pair_csv, tmp_path, capsys, damage, message):
         path, session = pair_csv
@@ -786,6 +854,183 @@ class TestExitCodes:
             main(["calibrate-pair", str(path), "0", "1", "--known-distance", "x"])
         capsys.readouterr()
         assert exc.value.code == 2
+
+
+def _json_text(text: str) -> bytes:
+    return textwrap.dedent(text).lstrip("\n").encode()
+
+
+# the exact bytes each writer gives for the fixed inputs of test_written_bytes
+WRITTEN = {
+    "labels.csv": b'body,label\r\n0,base\r\n1,"tip, end"\r\n',
+    "parents.csv": b"body,parent\r\n0,world\r\n1,0\r\n2,0\r\n",
+    "fits.csv": b"body_i,body_j,epsilon_m\r\n0,1,0.5\r\n0,2,0.1\r\n1,2,2.0\r\n",
+    "residuals.csv": b"frame,residual_m\r\n0,0.0\r\n1,0.1\r\n2,1e-17\r\n",
+    "histogram.csv": b"bin_lo,bin_hi,count\r\n0.0,0.05,2\r\n0.05,0.1,1\r\n",
+    "skeleton.json": _json_text(
+        """
+        {
+          "root": 0,
+          "bodies": [
+            {
+              "id": 0,
+              "label": "base",
+              "parent": null
+            },
+            {
+              "id": 1,
+              "label": null,
+              "parent": 0,
+              "c": [
+                0.0,
+                0.5,
+                -1.0
+              ],
+              "l": [
+                0.25,
+                0.0,
+                0.0
+              ],
+              "epsilon_m": 0.125,
+              "classification": "rigid",
+              "axis_child": null,
+              "axis_parent": null
+            }
+          ]
+        }
+        """
+    ),
+    "spec.json": _json_text(
+        """
+        {
+          "frame_count": 2,
+          "seed": 3,
+          "unit_distortion": 1.0,
+          "sample_interval": null,
+          "root_motion": {
+            "kind": "random",
+            "translation_scale": 1.0,
+            "rotate": true
+          },
+          "noise": {
+            "sigma_t": 0.0,
+            "sigma_r": 0.0
+          },
+          "bodies": [
+            {
+              "id": 0,
+              "parent": null,
+              "label": "base",
+              "c": [
+                0.0,
+                0.0,
+                0.0
+              ],
+              "l": [
+                0.0,
+                0.0,
+                0.0
+              ],
+              "excitation": {
+                "kind": "spherical",
+                "max_angle": null,
+                "axis": null,
+                "mount": null,
+                "rotations": null
+              }
+            }
+          ]
+        }
+        """
+    ),
+    "fit.json": _json_text(
+        """
+        {
+          "child": 1,
+          "child_label": "1",
+          "parent": 0,
+          "parent_label": "0",
+          "frames": 2,
+          "classification": "rigid",
+          "epsilon_m": 0.125,
+          "c": [
+            0.0,
+            0.5,
+            -1.0
+          ],
+          "l": [
+            0.25,
+            0.0,
+            0.0
+          ],
+          "singular_values": [
+            2.0,
+            1.5,
+            1.0,
+            0.0,
+            0.0,
+            0.0
+          ],
+          "axis_child": null,
+          "axis_parent": null
+        }
+        """
+    ),
+    "calibration.json": _json_text(
+        """
+        {
+          "body_a": 0,
+          "body_b": 1,
+          "frames": 2,
+          "mean_m": 0.5,
+          "std_m": 0.0,
+          "scale": 0.5,
+          "known_distance": 0.25
+        }
+        """
+    ),
+}
+
+
+def test_written_bytes(tmp_path, monkeypatch, capsys):
+    joint = JointFit(
+        child=1,
+        parent=0,
+        c=np.array([0.0, 0.5, -1.0]),
+        l=np.array([0.25, 0.0, 0.0]),
+        epsilon=0.125,
+        classification=Classification.RIGID,
+        singular_values=np.array([2.0, 1.5, 1.0, 0.0, 0.0, 0.0]),
+        residual_per_frame=np.array([0.0, 0.1, 1e-17]),
+    )
+    write_labels(tmp_path / "labels.csv", {1: "tip, end", 0: "base"})
+    write_parent_map(tmp_path / "parents.csv", {2: 0, 0: None, 1: 0})
+    epsilon = np.array([[np.nan, 0.5, 0.1], [0.5, np.nan, 2.0], [0.1, 2.0, np.nan]])
+    write_fit_matrix_csv(tmp_path / "fits.csv", FitMatrix(epsilon))
+    write_residual_csv(tmp_path / "residuals.csv", joint)
+    hist = ResidualHistogram(edges=np.array([0.0, 0.05, 0.1]), counts=np.array([2, 1]))
+    write_histogram_csv(tmp_path / "histogram.csv", hist)
+    save_skeleton(tmp_path / "skeleton.json", SkeletonModel(0, {1: joint}, labels={0: "base"}))
+    save_spec(
+        tmp_path / "spec.json",
+        SynthSpec(bodies=(SynthBody(0, None, label="base"),), frame_count=2, seed=3),
+    )
+    # body 1 sits 0.5 m from body 0 in both frames, so the calibration is exact
+    eye = np.tile(np.eye(3), (2, 1, 1))
+    offset = np.array([[0.5, 0.0, 0.0], [0.0, -0.5, 0.0]])
+    session = CaptureSession(
+        (BodyTrack(0, eye, np.zeros((2, 3))), BodyTrack(1, eye, offset)), 2
+    )
+    session_path = tmp_path / "session.csv"
+    write_session(session_path, session)
+    monkeypatch.setattr(cli, "solve_joint", lambda *args, **kwargs: joint)
+    fit_args = ["solve-joint", str(session_path), "1", "0", "--output"]
+    assert main([*fit_args, str(tmp_path / "fit.json")]) == 0
+    cal_args = ["calibrate-pair", str(session_path), "0", "1", "--known-distance", "0.25"]
+    assert main([*cal_args, "--output", str(tmp_path / "calibration.json")]) == 0
+    capsys.readouterr()
+    for name, expected in WRITTEN.items():
+        assert (tmp_path / name).read_bytes() == expected, name
 
 
 def test_cli_import_leaves_scipy_unloaded():

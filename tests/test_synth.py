@@ -483,6 +483,27 @@ class TestSpecSerialization:
             with pytest.raises(InvalidSpecError, match=pattern):
                 dict_to_spec(data)
 
+    @pytest.mark.parametrize(
+        "mutate, pattern",
+        [
+            (lambda d: d["bodies"][0].update(id=True), "True is not a JSON integer"),
+            (lambda d: d["bodies"][1].update(parent=1.7), "1.7 is not a JSON integer"),
+            (lambda d: d.update(frame_count=150.9), "150.9 is not a JSON integer"),
+            (lambda d: d.update(seed=True), "True is not a JSON integer"),
+            (
+                lambda d: d["root_motion"].update(rotate="false"),
+                "rotate must be a bool, got 'false'",
+            ),
+        ],
+        ids=["bool-id", "float-parent", "float-frame-count", "bool-seed", "string-rotate"],
+    )
+    def test_json_types_are_not_coerced(self, mutate, pattern):
+        # int() and bool() once truncated these; "false" even turned rotation on
+        data = spec_to_dict(linkage_spec(frames=5, seed=1))
+        mutate(data)
+        with pytest.raises(InvalidSpecError, match=pattern):
+            dict_to_spec(data)
+
     def test_no_noise_round_trips_to_default(self):
         spec = SynthSpec(
             bodies=(SynthBody(0, None),), frame_count=3, noise=NO_NOISE
