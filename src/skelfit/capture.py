@@ -23,7 +23,8 @@ value equals Python's, bit for bit.
 
 Every other CSV or JSON file goes through `csv_records`, `write_csv`,
 `read_json` and `write_json`, as UTF-8; bad text raises ParseError naming
-the file.  `json_integer` refuses a bool, float or string as an integer.
+the file.  `json_integer` refuses a bool, float or string as an integer,
+and `json_number` refuses a bool, string, null, NaN or inf as a number.
 """
 from __future__ import annotations
 
@@ -361,6 +362,19 @@ def json_integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{value!r} is not a JSON integer")
     return value
+
+
+def json_number(value) -> float:
+    """A finite JSON number as a float; ValueError for a bool, a string, null, NaN or inf."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a finite JSON number")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite JSON number")
+    return number
 
 
 def write_labels(path, labels: dict[int, str]):

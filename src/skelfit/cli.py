@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--orthonormalize",
         action="store_true",
-        help="clean up raw relative rotations before playback",
+        help="snap each relative rotation to its nearest proper rotation",
     )
     sub.set_defaults(func=cmd_reconstruct)
 

@@ -13,7 +13,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .capture import BodyTrack, CaptureSession, json_integer, read_json, write_json
+from .capture import BodyTrack, CaptureSession, json_integer, json_number, read_json, write_json
 from .errors import MissingRotationError, NotAdjacentError, ParseError
 from .hierarchy import build_fit_matrix, infer_hierarchy, tree_order
 from .solver import DEFAULT_RANK_TOL, Classification, JointFit, solve_joint
@@ -190,7 +190,73 @@ def _relative_rotations(session: CaptureSession, child: int, parent: int) -> np.
     return np.linalg.solve(Rp, Rc)
 
 
+# A frame leaves the Newton iteration once a step moves no entry by more
+# than _POLAR_TOL (entries are about 1 by then); one that has not after
+# _POLAR_STEPS steps falls back on the SVD.
+_POLAR_STEPS = 6
+_POLAR_TOL = 8 * np.finfo(np.float64).eps
+
+
+def _cofactors(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cof, det) per frame of X (n, 3, 3), so that X^-T = cof / det.
+
+    With columns a, b, c of X, cof has columns b x c, c x a and a x b,
+    and det = a . (b x c).
+    """
+    a, b, c = X[..., 0], X[..., 1], X[..., 2]
+    bc = np.cross(b, c)
+    cof = np.stack((bc, np.cross(c, a), np.cross(a, b)), axis=-1)
+    return cof, np.einsum("ni,ni->n", a, bc)
+
+
 def _orthonormalize(R: np.ndarray) -> np.ndarray:
+    """Nearest proper rotation per frame of R (n, 3, 3): its polar factor.
+
+    Runs Higham's Newton iteration for the polar factor (N. J. Higham,
+    "Computing the polar decomposition - with applications", SIAM J. Sci.
+    Stat. Comput. 7, 1986), X <- (g X + X^-T / g) / 2, batched, with
+    X^-T in closed form (`_cofactors`).  The first step uses the
+    determinant scaling g = det(X)^(-1/3); later steps use g = 1.  Each
+    frame is first scaled by a power of two that brings its largest
+    entry into [0.5, 1), as in rigid.is_singular, so a far-scaled or
+    near-singular frame neither overflows nor warns.
+
+    Each frame takes one of two routes.  A frame falls back on the SVD
+    (`_orthonormalize_svd`) when its det is <= 0, since the nearest
+    rotation to a reflection needs the SVD's sign flip, or when its
+    Newton step has not fallen to _POLAR_TOL within _POLAR_STEPS steps.
+    Every other frame takes its Newton result, which agrees with the SVD
+    to a few ulps.
+    """
+    _, exp = np.frexp(np.abs(R).max(axis=(-2, -1)))
+    X = np.ldexp(R, -exp[:, None, None])
+    cof, det = _cofactors(X)
+    out = np.empty_like(X)
+    by_newton = np.zeros(len(X), dtype=bool)
+    todo = np.flatnonzero(det > 0)
+    X, cof, det = X[todo], cof[todo], det[todo]
+    gamma = 1.0 / np.cbrt(det)[:, None, None]
+    for steps_left in range(_POLAR_STEPS - 1, -1, -1):
+        gX = gamma * X
+        X_next = 0.5 * (gX + cof / (gamma * det[:, None, None]))
+        done = np.abs(X_next - gX).max(axis=(-2, -1)) <= _POLAR_TOL
+        out[todo[done]] = X_next[done]
+        by_newton[todo[done]] = True
+        # A step can at most halve the largest singular value, so a frame
+        # with an entry above 2**steps_left cannot converge in the steps left;
+        # dropping it now also keeps the cross products from overflowing.
+        keep = ~done & (np.abs(X_next).max(axis=(-2, -1)) <= 2.0**steps_left)
+        todo, X = todo[keep], X_next[keep]
+        if not todo.size:
+            break
+        cof, det = _cofactors(X)
+        gamma = 1.0
+    if not by_newton.all():
+        out[~by_newton] = _orthonormalize_svd(R[~by_newton])
+    return out
+
+
+def _orthonormalize_svd(R: np.ndarray) -> np.ndarray:
     """Nearest rotation matrices via polar decomposition, batched."""
     U, _, Vt = np.linalg.svd(R)
     out = U @ Vt
@@ -213,7 +279,9 @@ def reconstruct(
     parent is taken from the raw data, the root keeps its raw world
     transform, and all other world transforms are rebuilt by forward
     kinematics.  Joints in the output coincide exactly; bodies the
-    model does not cover pass through untouched.
+    model does not cover pass through untouched.  With orthonormalize,
+    each relative rotation is first snapped to its nearest proper
+    rotation.
     """
     for body in model.bodies:
         if body >= session.body_count:
@@ -291,6 +359,12 @@ def _vector3(value) -> np.ndarray:
     return v
 
 
+def _json_string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a JSON string")
+    return value
+
+
 def _field(entry: dict, key: str, where: str, convert):
     """convert(entry[key]); a missing key or bad value raises ParseError."""
     if not isinstance(entry, dict) or key not in entry:
@@ -314,7 +388,7 @@ def dict_to_skeleton(data: dict) -> SkeletonModel:
             raise ParseError(f"{where}: listed twice")
         seen.add(body)
         if entry.get("label") is not None:
-            labels[body] = entry["label"]
+            labels[body] = _field(entry, "label", where, _json_string)
         if entry.get("parent") is None:
             # older files also gave the root c, l, epsilon_m and so on
             continue
@@ -323,7 +397,7 @@ def dict_to_skeleton(data: dict) -> SkeletonModel:
             parent=_field(entry, "parent", where, json_integer),
             c=_field(entry, "c", where, _vector3),
             l=_field(entry, "l", where, _vector3),
-            epsilon=_field(entry, "epsilon_m", where, float),
+            epsilon=_field(entry, "epsilon_m", where, json_number),
             classification=_field(entry, "classification", where, Classification),
             axis_child=None
             if entry.get("axis_child") is None

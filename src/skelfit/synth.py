@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .capture import BodyTrack, CaptureSession, json_integer, read_json, write_json
+from .capture import BodyTrack, CaptureSession, json_integer, json_number, read_json, write_json
 from .errors import DegenerateInputError, InvalidSpecError, LengthMismatchError
 from .hierarchy import tree_order
 from .rigid import orthonormality_error, rotation_about_axis
@@ -551,7 +551,9 @@ def dict_to_spec(data: dict) -> SynthSpec:
             _check_keys(exc_data, _EXCITATION_KEYS, "excitation")
             exc = Excitation(
                 kind=exc_data.get("kind", "spherical"),
-                max_angle=exc_data.get("max_angle"),
+                max_angle=None
+                if exc_data.get("max_angle") is None
+                else json_number(exc_data["max_angle"]),
                 axis=exc_data.get("axis"),
                 mount=exc_data.get("mount"),
                 rotations=exc_data.get("rotations"),
@@ -576,14 +578,14 @@ def dict_to_spec(data: dict) -> SynthSpec:
             seed=json_integer(data.get("seed", 0)),
             root_motion=RootMotion(
                 kind=motion_data.get("kind", "random"),
-                translation_scale=float(motion_data.get("translation_scale", 1.0)),
+                translation_scale=json_number(motion_data.get("translation_scale", 1.0)),
                 rotate=motion_data.get("rotate", True),
             ),
             noise=NoiseSpec(
-                sigma_t=float(noise_data.get("sigma_t", 0.0)),
-                sigma_r=float(noise_data.get("sigma_r", 0.0)),
+                sigma_t=json_number(noise_data.get("sigma_t", 0.0)),
+                sigma_r=json_number(noise_data.get("sigma_r", 0.0)),
             ),
-            unit_distortion=float(data.get("unit_distortion", 1.0)),
+            unit_distortion=json_number(data.get("unit_distortion", 1.0)),
             sample_interval=data.get("sample_interval"),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

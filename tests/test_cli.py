@@ -722,6 +722,39 @@ class TestExitCodes:
                 lambda data: data["bodies"][1].update(id=1.9),
                 "body entry: bad id: 1.9 is not a JSON integer",
             ),
+            # float() once took a string, and json reads the NaN literal
+            (
+                lambda data: data["bodies"][1].update(epsilon_m="0.5"),
+                "body 1: bad epsilon_m: '0.5' is not a finite JSON number",
+            ),
+            (
+                lambda data: data["bodies"][1].update(epsilon_m=float("nan")),
+                "body 1: bad epsilon_m: nan is not a finite JSON number",
+            ),
+            (
+                lambda data: data["bodies"][1].update(epsilon_m=float("inf")),
+                "body 1: bad epsilon_m: inf is not a finite JSON number",
+            ),
+            (
+                lambda data: data["bodies"][1].update(epsilon_m=True),
+                "body 1: bad epsilon_m: True is not a finite JSON number",
+            ),
+            (
+                lambda data: data["bodies"][1].update(epsilon_m=None),
+                "body 1: bad epsilon_m: None is not a finite JSON number",
+            ),
+            (
+                lambda data: data["bodies"][1].update(epsilon_m=10**400),
+                "body 1: bad epsilon_m: 1000",
+            ),
+            (
+                lambda data: data["bodies"][1].update(label=[1, 2]),
+                "body 1: bad label: [1, 2] is not a JSON string",
+            ),
+            (
+                lambda data: data["bodies"][0].update(label=7),
+                "body 0: bad label: 7 is not a JSON string",
+            ),
         ],
         ids=[
             "no-root",
@@ -733,6 +766,14 @@ class TestExitCodes:
             "bool-parent",
             "float-root",
             "float-id",
+            "string-epsilon",
+            "nan-epsilon",
+            "inf-epsilon",
+            "bool-epsilon",
+            "null-epsilon",
+            "huge-int-epsilon",
+            "list-label",
+            "int-root-label",
         ],
     )
     def test_malformed_skeleton_json(self, pair_csv, tmp_path, capsys, damage, message):

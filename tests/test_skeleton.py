@@ -28,6 +28,7 @@ from skelfit.synth import generate, linkage_spec
 from conftest import haar_rotations, manual_pair_session
 
 DATA = Path(__file__).parent / "data"
+EPS = np.finfo(np.float64).eps
 
 
 def make_joint(body, parent, c, l, cls=Classification.SPHERICAL):
@@ -303,6 +304,61 @@ class TestForwardKinematics:
         assert session.label_of(1) == "tip"
 
 
+@pytest.mark.filterwarnings("error")
+class TestOrthonormalize:
+    """The Newton polar route against the SVD route it falls back on."""
+
+    @staticmethod
+    def groups() -> dict[str, np.ndarray]:
+        rng = np.random.default_rng(48)
+        Q = haar_rotations(rng, 300)
+        groups = {"rotations": Q, "doubled": 2.0 * Q}
+        # capture.ORTHO_WARN_ATOL is 1e-3: perturb to below, at and past it
+        for size in (1e-12, 1e-6, 1e-3, 1e-2, 0.1, 0.3):
+            groups[f"perturbed {size:g}"] = Q + rng.uniform(-size, size, Q.shape)
+        near = Q + rng.uniform(-1e-3, 1e-3, Q.shape)
+        groups["scaled 2^60"] = np.ldexp(near, 60)
+        groups["scaled 2^-60"] = np.ldexp(near, -60)
+        mirror = np.array([1.0, 1.0, -1.0])
+        groups["reflections"] = Q * mirror
+        groups["near reflections"] = near * mirror
+        groups["near singular"] = Q @ np.diag([1.0, 1.0, 1e-9]) @ Q[::-1]
+        return groups
+
+    # frames the SVD must take: det <= 0, or no Newton convergence
+    FALLBACK = ("reflections", "near reflections", "near singular")
+
+    def run(self, R, monkeypatch):
+        """_orthonormalize(R) and the number of frames it sent to the SVD."""
+        sent = []
+        svd = skeleton._orthonormalize_svd
+        monkeypatch.setattr(
+            skeleton, "_orthonormalize_svd", lambda R: sent.append(len(R)) or svd(R)
+        )
+        return skeleton._orthonormalize(R), sum(sent)
+
+    @pytest.mark.parametrize("group", list(groups()))
+    def test_matches_the_svd_route(self, group, monkeypatch):
+        R = self.groups()[group]
+        out, sent = self.run(R, monkeypatch)
+        ref = skeleton._orthonormalize_svd(R)
+        assert np.abs(out - ref).max() <= 32 * EPS
+        assert np.abs(np.linalg.det(out) - 1.0).max() <= 32 * EPS
+        assert (orthonormality_error(out) <= orthonormality_error(ref) + 2 * EPS).all()
+        if group in self.FALLBACK:
+            assert sent == len(R)
+            assert np.array_equal(out, ref)
+        else:
+            assert sent == 0
+
+    def test_each_frame_takes_one_route_in_a_mixed_batch(self, monkeypatch):
+        groups = self.groups()
+        out, sent = self.run(np.concatenate(list(groups.values())), monkeypatch)
+        assert sent == sum(len(groups[g]) for g in self.FALLBACK)
+        for group, part in zip(groups, np.split(out, len(groups))):
+            assert np.array_equal(part, skeleton._orthonormalize(groups[group]))
+
+
 def noisy_linkage(frames=250, seed=45):
     spec = linkage_spec(frames=frames, seed=seed)
     return generate(spec)
@@ -391,21 +447,37 @@ class TestReconstruct:
         model = fit_skeleton(smeared)
         raw = reconstruct(model, smeared)
         clean = reconstruct(model, smeared, orthonormalize=True)
-        worst_raw = max(
-            orthonormality_error(R)
-            for b in model.joints
-            for R in raw.track(b).rotations[:10]
-        )
+        worst_raw = max(orthonormality_error(raw.track(b).rotations).max() for b in model.joints)
         worst_clean = max(
-            orthonormality_error(R)
-            for b in model.joints
-            for R in clean.track(b).rotations[:10]
+            orthonormality_error(clean.track(b).rotations).max() for b in model.joints
         )
         # the root is kept raw either way; children inherit its error, so
         # cleaning the relative rotations only tightens the result
         assert worst_clean <= worst_raw
+        for b in model.joints:
+            assert (np.linalg.det(clean.track(b).rotations) > 0).all()
         for gaps in joint_gaps(model, clean).values():
             assert (gaps < 1e-12).all()
+
+    def test_orthonormalize_turns_a_reflection_proper(self):
+        session, _ = noisy_linkage()
+        model = fit_skeleton(session)
+        body = min(b for b, j in model.joints.items() if j.parent == model.root)
+        frames = np.arange(0, session.frame_count, 7)
+        tracks = list(session.bodies)
+        mirrored = tracks[body].rotations.copy()
+        mirrored[frames] = mirrored[frames] * np.array([1.0, 1.0, -1.0])
+        tracks[body] = BodyTrack(body, mirrored, tracks[body].translations)
+        session = CaptureSession(tuple(tracks), session.frame_count)
+
+        root_R = session.track(model.root).rotations
+        rel = np.linalg.solve(root_R, mirrored)
+        assert (np.linalg.det(rel[frames]) < 0).all()
+        clean = reconstruct(model, session, orthonormalize=True).track(body).rotations
+        assert (np.linalg.det(clean) > 0).all()
+        expected = root_R @ skeleton._orthonormalize_svd(rel)
+        assert np.array_equal(clean[frames], expected[frames])
+        assert np.abs(clean - expected).max() <= 32 * EPS
 
     def test_model_body_missing_from_session(self):
         session = manual_pair_session((0.1, 0, 0), (0.2, 0, 0), n=10, seed=47)

@@ -494,8 +494,42 @@ class TestSpecSerialization:
                 lambda d: d["root_motion"].update(rotate="false"),
                 "rotate must be a bool, got 'false'",
             ),
+            # float() once took these strings, and max_angle went unchecked
+            (
+                lambda d: d["noise"].update(sigma_t="0.001"),
+                "'0.001' is not a finite JSON number",
+            ),
+            (lambda d: d["noise"].update(sigma_r=True), "True is not a finite JSON number"),
+            (
+                lambda d: d["root_motion"].update(translation_scale="1"),
+                "'1' is not a finite JSON number",
+            ),
+            (
+                lambda d: d.update(unit_distortion=float("nan")),
+                "nan is not a finite JSON number",
+            ),
+            (
+                lambda d: d["bodies"][1]["excitation"].update(max_angle=True),
+                "True is not a finite JSON number",
+            ),
+            (
+                lambda d: d["bodies"][1]["excitation"].update(max_angle="0.5"),
+                "'0.5' is not a finite JSON number",
+            ),
         ],
-        ids=["bool-id", "float-parent", "float-frame-count", "bool-seed", "string-rotate"],
+        ids=[
+            "bool-id",
+            "float-parent",
+            "float-frame-count",
+            "bool-seed",
+            "string-rotate",
+            "string-sigma-t",
+            "bool-sigma-r",
+            "string-translation-scale",
+            "nan-unit-distortion",
+            "bool-max-angle",
+            "string-max-angle",
+        ],
     )
     def test_json_types_are_not_coerced(self, mutate, pattern):
         # int() and bool() once truncated these; "false" even turned rotation on
