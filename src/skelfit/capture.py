@@ -12,14 +12,26 @@ exactly once.  An optional sidecar maps body indices to labels:
     body,label
 
 `load_session` reads a file in two ways.  First it reads the whole table
-of an ASCII file with one `np.loadtxt` pass and checks the (frame, body)
-cells with `np.bincount`; that path reads every good file that
-`write_session` writes.  When it refuses a file, the row parser reads
-the file again.  The row parser stays because it names the row of a bad
-cell, and because it accepts the few tokens loadtxt refuses but `int()`,
-`float()` and the csv module take: digit separators (`1_0`), non-ASCII
-digits and spaces, and quoted cells.  When loadtxt accepts a cell, its
-value equals Python's, bit for bit.
+of an ASCII file with `np.loadtxt` and checks the (frame, body) cells
+with `np.bincount`; that path reads every good file that `write_session`
+writes.  When it refuses a file, the row parser reads the file again.
+The row parser stays because it names the row of a bad cell, and because
+it accepts the few tokens loadtxt refuses but `int()`, `float()` and the
+csv module take: digit separators (`1_0`), non-ASCII digits and spaces,
+and quoted cells.  When loadtxt accepts a cell, its value equals
+Python's, bit for bit.
+
+Both directions use a second CPU for a large session.  `write_session`
+forks one helper process that formats every second block of rows and
+sends it back through a pipe, and the parent writes all blocks in frame
+order, so the bytes do not change.  `load_session` splits the file at
+the first "\n" after the middle of its data; the helper runs the same
+loadtxt on the rows after the split and sends the table back, and a
+refusal on either side sends the file to the row parser.  One process
+does all the work when the session has fewer than `_HELPER_MIN_ROWS`
+rows (the measured break-even), when `os.fork` is missing or fails,
+when fewer than two CPUs are usable, or when the file has no "\n" after
+its middle.  A helper that fails makes `write_session` raise OSError.
 
 Every other CSV or JSON file goes through `csv_records`, `write_csv`,
 `read_json` and `write_json`, as UTF-8; bad text raises ParseError naming
@@ -29,9 +41,13 @@ and `json_number` refuses a bool, string, null, NaN or inf as a number.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-from contextlib import closing
+import os
+import signal
+import warnings
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,6 +68,9 @@ _ROW_DTYPE = np.dtype(
 )
 
 _WRITE_BLOCK_ROWS = 1024  # rows write_session gathers at once; bounds its extra memory
+# rows from which a forked helper pays for itself: the measured break-even in a
+# 60 MB process was about 4096 rows for write_session and 8192 for load_session
+_HELPER_MIN_ROWS = 8192
 
 SHORT_SESSION_FRAMES = 30  # advisory floor for a reliable fit
 ORTHO_WARN_ATOL = 1e-3  # advisory bound on sensor rotations' orthonormality
@@ -165,6 +184,10 @@ def _load_table(path, unit_scale: float) -> Optional[CaptureSession]:
     The file is decoded as ASCII, so a file holding any other character
     goes to the row parser: numpy 2.4's loadtxt can crash the process
     on a high code point such as U+F5075 in an integer column.
+
+    A large file is split at the first "\\n" after the middle of its data:
+    a forked helper parses the rows after the split while this process
+    parses those before it, and a refusal on either side returns None.
     """
     with open(path, newline="", encoding="ascii") as fh:
         try:
@@ -179,8 +202,26 @@ def _load_table(path, unit_scale: float) -> Optional[CaptureSession]:
             if not chunk:
                 return None
             fh.seek(start)
-            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1, dtype=_ROW_DTYPE)
-        except (ValueError, csv.Error):  # a field count, token, int64 range or non-ASCII
+            fd, begin = fh.fileno(), len(line)  # the header is ASCII: a byte a character
+            # the rows are counted as if all were as long as the first
+            row, newline, _ = chunk.lstrip("\r\n").partition("\n")
+            split = _split_point(fd, begin, len(row) + 1) if newline else None
+            work = None if split is None else lambda out: _send(out, _load_range(fd, *split))
+            with _helper(work) as helper:
+                if helper is None:
+                    table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1, dtype=_ROW_DTYPE)
+                else:
+                    mine = _load_range(fd, begin, split[0])
+
+                    def table_of_both(size):  # the helper's rows are read in after these
+                        table = np.empty(len(mine) + size // _ROW_DTYPE.itemsize, _ROW_DTYPE)
+                        table[: len(mine)] = mine
+                        return table
+
+                    table = _receive(helper, table_of_both)
+                    del mine
+        # a field count, token, int64 range or non-ASCII, on either side of a split
+        except (ValueError, csv.Error, ChildProcessError):
             return None
 
     frame, body = table["frame"], table["body"]
@@ -262,23 +303,173 @@ def _load_rows(path, unit_scale: float) -> CaptureSession:
 
 
 def write_session(path, session: CaptureSession):
-    """Write the transform-stream CSV; floats round-trip bit-exactly."""
+    """Write the transform-stream CSV; floats round-trip bit-exactly.
+
+    Rows are formatted in blocks of frames.  For a large session a forked
+    helper formats every second block and sends it back through a pipe;
+    OSError (ChildProcessError) if the helper fails, as for a failed write.
+    """
     n, m = session.frame_count, session.body_count
     step = max(1, _WRITE_BLOCK_ROWS // max(m, 1))  # frames gathered at a time
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for start in range(0, n, step):
-            block = np.empty((min(step, n - start), m, 12))  # body ids are 0..m-1
-            for b in session.bodies:
-                block[:, b.body_id, :9] = b.rotations[start : start + step].reshape(-1, 9)
-                block[:, b.body_id, 9:] = b.translations[start : start + step]
-            for frame, rows in enumerate(block.tolist(), start):
-                fh.write(
-                    "".join(
-                        f"{frame},{body},{','.join(map(repr, row))}\n"
-                        for body, row in enumerate(rows)
+    starts = range(0, n, step)
+
+    def send_odd_blocks(out):
+        for start in starts[1::2]:
+            _send(out, _format_block(session, start, step))
+
+    work = send_odd_blocks if _helper_pays(n * m) else None
+    try:
+        with _helper(work) as helper, open(path, "wb") as fh:
+            fh.write(CSV_HEADER.encode() + b"\n")
+            for k, start in enumerate(starts):
+                if helper is not None and k % 2:
+                    fh.write(_receive(helper))
+                else:
+                    fh.write(_format_block(session, start, step))
+    except ChildProcessError as exc:
+        raise ChildProcessError(f"{path}: not fully written: {exc}") from None
+
+
+def _format_block(session: CaptureSession, start: int, step: int) -> bytes:
+    """The CSV rows of frames start..start+step-1, frame-major."""
+    block = np.empty((min(step, session.frame_count - start), session.body_count, 12))
+    for b in session.bodies:  # body ids are 0..m-1
+        block[:, b.body_id, :9] = b.rotations[start : start + step].reshape(-1, 9)
+        block[:, b.body_id, 9:] = b.translations[start : start + step]
+    return "".join(
+        f"{frame},{body},{','.join(map(repr, row))}\n"
+        for frame, rows in enumerate(block.tolist(), start)
+        for body, row in enumerate(rows)
+    ).encode()
+
+
+def _helper_pays(rows: int) -> bool:
+    """Whether to share the work on `rows` CSV rows with a forked helper."""
+    return (
+        rows >= _HELPER_MIN_ROWS
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+    )
+
+
+@contextmanager
+def _helper(work):
+    """Run work(out) in a forked helper process; yield a reader of what it writes to `out`.
+
+    Yields None, having started nothing, when `work` is None or no pipe or
+    process can be made; the caller then does all the work itself.  The
+    helper leaves through os._exit, with status 0 only if `work` returned.
+    Leaving the block closes the reader and reaps the helper, killing it
+    first if the block raised; ChildProcessError if it did not exit 0.
+    """
+    pid = None
+    if work is not None:
+        try:
+            r, w = os.pipe()
+        except OSError:
+            pass
+        else:
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns on a fork in a process with threads (OpenBLAS
+                    # starts some); the helper calls no BLAS routine and takes no lock
+                    warnings.filterwarnings(
+                        "ignore", r"This process .* is multi-threaded", DeprecationWarning
                     )
-                )
+                    pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+    if pid is None:
+        yield None
+        return
+    if pid == 0:  # the helper
+        status = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as out:
+                work(out)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    try:
+        with open(r, "rb") as reader:
+            yield reader
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        raise ChildProcessError(f"helper process {pid} ended with wait status {status}")
+
+
+def _send(out, payload):
+    """One message from the helper: its length in 8 bytes, then its bytes."""
+    out.write(memoryview(payload).nbytes.to_bytes(8, "little"))
+    out.write(payload)
+
+
+def _receive(reader, buffer_for=bytearray):
+    """The next message from the helper, read into the last bytes of buffer_for(its length).
+
+    Returns that buffer; ChildProcessError if the helper stopped before the end of the message.
+    """
+    head = reader.read(8)
+    if len(head) == 8:
+        size = int.from_bytes(head, "little")
+        buffer = buffer_for(size)
+        view = memoryview(buffer).cast("B")
+        if reader.readinto(view[len(view) - size :]) == size:
+            return buffer
+    raise ChildProcessError("helper process stopped before the end of a message")
+
+
+def _split_point(fd: int, begin: int, row_bytes: int) -> Optional[tuple[int, int]]:
+    """(split, end): a helper parses bytes split..end-1 of file fd, this process begin..split-1.
+
+    The split is just after the first "\\n" from the middle of the range on.
+    None, to parse it all in one process, when the range holds too few rows
+    of `row_bytes` to pay for a helper, or no "\\n" there (CR-only lines).
+    """
+    end = os.fstat(fd).st_size
+    if not _helper_pays((end - begin) // row_bytes):
+        return None
+    at = (begin + end) // 2
+    while chunk := os.pread(fd, min(1 << 16, end - at), at):
+        if (k := chunk.find(b"\n")) >= 0:
+            return at + k + 1, end
+        at += len(chunk)
+    return None
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes begin..end-1 of file fd, read with os.pread so the offset it
+    shares with a forked process never moves."""
+
+    def __init__(self, fd: int, begin: int, end: int):
+        super().__init__()
+        self.fd, self.at, self.end = fd, begin, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = os.pread(self.fd, min(len(buffer), self.end - self.at), self.at)
+        buffer[: len(data)] = data
+        self.at += len(data)
+        return len(data)
+
+
+def _load_range(fd: int, begin: int, end: int) -> np.ndarray:
+    """The loadtxt table of bytes begin..end-1 of a session file, decoded as ASCII."""
+    raw = io.BufferedReader(_ByteRange(fd, begin, end), 1 << 16)
+    with io.TextIOWrapper(raw, encoding="ascii", newline="") as text, warnings.catch_warnings():
+        # one side of a split may hold only blank lines; the no-data peek saw rows
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(text, delimiter=",", comments=None, ndmin=1, dtype=_ROW_DTYPE)
 
 
 def load_labels(path) -> dict[int, str]:

@@ -211,6 +211,10 @@ class SynthBody:
     def __post_init__(self):
         object.__setattr__(self, "c", _as_vector(self.c, "c"))
         object.__setattr__(self, "l", _as_vector(self.l, "l"))
+        if self.label is not None and not isinstance(self.label, str):
+            raise InvalidSpecError(
+                f"body {self.body_id}: label must be a string or null, got {self.label!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -242,6 +246,16 @@ class SynthSpec:
             raise InvalidSpecError("frame_count must be at least 1")
         if not 0.0 < self.unit_distortion < math.inf:
             raise InvalidSpecError("unit_distortion must be finite and positive")
+        if self.sample_interval is not None and not 0.0 < self.sample_interval < math.inf:
+            raise InvalidSpecError("sample_interval must be finite and positive when given")
+        named = {}  # label -> the first body holding it; the labels file maps one to one
+        for body in bodies:
+            if body.label in named:
+                raise InvalidSpecError(
+                    f"label {body.label!r} names bodies {named[body.label]} and {body.body_id}"
+                )
+            if body.label is not None:
+                named[body.label] = body.body_id
         for body in (b for b in bodies if b.parent is not None):
             exc = body.excitation
             if exc.kind == "scripted" and exc.rotations.shape[0] != self.frame_count:
@@ -541,6 +555,13 @@ _ROOT_MOTION_KEYS = frozenset(("kind", "translation_scale", "rotate"))
 _NOISE_KEYS = frozenset(("sigma_t", "sigma_r"))
 
 
+def _spec_number(value, field: str) -> float:
+    try:
+        return json_number(value)
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from None
+
+
 def dict_to_spec(data: dict) -> SynthSpec:
     try:
         _check_keys(data, _TOP_KEYS, "spec")
@@ -553,7 +574,7 @@ def dict_to_spec(data: dict) -> SynthSpec:
                 kind=exc_data.get("kind", "spherical"),
                 max_angle=None
                 if exc_data.get("max_angle") is None
-                else json_number(exc_data["max_angle"]),
+                else _spec_number(exc_data["max_angle"], "max_angle"),
                 axis=exc_data.get("axis"),
                 mount=exc_data.get("mount"),
                 rotations=exc_data.get("rotations"),
@@ -578,15 +599,19 @@ def dict_to_spec(data: dict) -> SynthSpec:
             seed=json_integer(data.get("seed", 0)),
             root_motion=RootMotion(
                 kind=motion_data.get("kind", "random"),
-                translation_scale=json_number(motion_data.get("translation_scale", 1.0)),
+                translation_scale=_spec_number(
+                    motion_data.get("translation_scale", 1.0), "translation_scale"
+                ),
                 rotate=motion_data.get("rotate", True),
             ),
             noise=NoiseSpec(
-                sigma_t=json_number(noise_data.get("sigma_t", 0.0)),
-                sigma_r=json_number(noise_data.get("sigma_r", 0.0)),
+                sigma_t=_spec_number(noise_data.get("sigma_t", 0.0), "sigma_t"),
+                sigma_r=_spec_number(noise_data.get("sigma_r", 0.0), "sigma_r"),
             ),
-            unit_distortion=json_number(data.get("unit_distortion", 1.0)),
-            sample_interval=data.get("sample_interval"),
+            unit_distortion=_spec_number(data.get("unit_distortion", 1.0), "unit_distortion"),
+            sample_interval=None
+            if data.get("sample_interval") is None
+            else _spec_number(data["sample_interval"], "sample_interval"),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidSpecError(f"malformed synth spec: {exc}") from exc

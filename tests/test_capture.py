@@ -2,7 +2,9 @@
 import csv
 import io
 import math
+import os
 import re
+import signal
 import tempfile
 import warnings
 from pathlib import Path
@@ -49,26 +51,55 @@ def rows_of(path):
         return list(csv.reader(fh))
 
 
+def golden_session() -> CaptureSession:
+    awkward = [5e-324, 1.7976931348623157e308, 0.1 + 0.2]
+    R = np.tile(np.eye(3), (2, 1, 1))
+    R[:, 0, 1] = -0.0
+    bodies = (
+        BodyTrack(0, R, [awkward, [-0.0, 0.0, 1.0]]),
+        BodyTrack(1, np.tile(np.eye(3), (2, 1, 1)), [[-0.0] * 3, awkward]),
+    )
+    return CaptureSession(bodies, 2)
+
+
+GOLDEN_BYTES = (
+    CSV_HEADER.encode() + b"\n"
+    b"0,0,1.0,-0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0,"
+    b"5e-324,1.7976931348623157e+308,0.30000000000000004\n"
+    b"0,1,1.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0,-0.0,-0.0,-0.0\n"
+    b"1,0,1.0,-0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0,-0.0,0.0,1.0\n"
+    b"1,1,1.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0,"
+    b"5e-324,1.7976931348623157e+308,0.30000000000000004\n"
+)
+
+
+def force_helper(monkeypatch) -> list:
+    """From here on every write_session and load_session shares its work with a
+    forked helper; returns a one-item list that counts the forks."""
+    if not capture._helper_pays(capture._HELPER_MIN_ROWS):
+        pytest.skip("needs os.fork and two usable CPUs")
+    monkeypatch.setattr(capture, "_HELPER_MIN_ROWS", 0)
+    forks = [0]
+    real_fork = os.fork
+
+    def counted_fork():
+        forks[0] += 1
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestRoundTrip:
     def test_golden_bytes(self, tmp_path):
-        awkward = [5e-324, 1.7976931348623157e308, 0.1 + 0.2]
-        R = np.tile(np.eye(3), (2, 1, 1))
-        R[:, 0, 1] = -0.0
-        bodies = (
-            BodyTrack(0, R, [awkward, [-0.0, 0.0, 1.0]]),
-            BodyTrack(1, np.tile(np.eye(3), (2, 1, 1)), [[-0.0] * 3, awkward]),
-        )
         path = tmp_path / "s.csv"
-        write_session(path, CaptureSession(bodies, 2))
-        assert path.read_bytes() == (
-            CSV_HEADER.encode() + b"\n"
-            b"0,0,1.0,-0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0,"
-            b"5e-324,1.7976931348623157e+308,0.30000000000000004\n"
-            b"0,1,1.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0,-0.0,-0.0,-0.0\n"
-            b"1,0,1.0,-0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0,-0.0,0.0,1.0\n"
-            b"1,1,1.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0,"
-            b"5e-324,1.7976931348623157e+308,0.30000000000000004\n"
-        )
+        write_session(path, golden_session())
+        assert path.read_bytes() == GOLDEN_BYTES
 
     @pytest.mark.parametrize("block_rows", [1, 4, 7])
     def test_write_block_size_does_not_change_bytes(self, tmp_path, monkeypatch, block_rows):
@@ -82,6 +113,39 @@ class TestRoundTrip:
         assert load_session(blocked).track(2).translations.tobytes() == (
             session.track(2).translations.tobytes()
         )
+
+    def test_golden_bytes_with_helper(self, tmp_path, monkeypatch):
+        # one frame a block: the helper formats frame 1
+        monkeypatch.setattr(capture, "_WRITE_BLOCK_ROWS", 1)
+        forks = force_helper(monkeypatch)
+        path = tmp_path / "s.csv"
+        write_session(path, golden_session())
+        assert forks == [1]
+        assert path.read_bytes() == GOLDEN_BYTES
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "n, m, block_rows",
+        [
+            (5, 3, 1),  # 5 blocks of one frame: the helper formats 2
+            (6, 3, 3),  # 6 blocks: the helper formats the last
+            (5, 3, 7),  # 3 blocks of 2 frames, the last one short
+            (4, 3, 7),  # 2 blocks, the helper formats 1
+            (1, 3, 7),  # 1 block: the helper formats nothing
+            (7, 1, 2),  # one body: 4 blocks of 2 frames, the last one short
+            (6, 1, 3),  # one body: 2 blocks of 3 frames
+        ],
+    )
+    def test_helper_does_not_change_bytes(self, tmp_path, monkeypatch, n, m, block_rows):
+        session = small_session(n=n, m=m, seed=n + m)
+        whole, split = tmp_path / "whole.csv", tmp_path / "split.csv"
+        write_session(whole, session)
+        monkeypatch.setattr(capture, "_WRITE_BLOCK_ROWS", block_rows)
+        forks = force_helper(monkeypatch)
+        write_session(split, session)
+        assert forks == [1]
+        assert split.read_bytes() == whole.read_bytes()
+        assert_no_child_left()
 
     def test_well_formed_file_loads(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -279,6 +343,10 @@ def assert_loads_like_row_parser(path, unit_scale=1.0):
         warnings.simplefilter("error")
         expected = outcome(capture._load_rows, path, unit_scale)
         got = outcome(load_session, path, unit_scale)
+    assert_same_outcome(got, expected)
+
+
+def assert_same_outcome(got, expected):
     if isinstance(expected, tuple):
         assert got == expected
     else:
@@ -356,6 +424,59 @@ FAST_PATH_READS = {
     "space-padded-ids",
     "plus-sign",
 }
+
+
+EDITED_FILES = dict(
+    n=st.integers(min_value=1, max_value=3),
+    m=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**16),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(["cell", "drop", "repeat", "insert"]),
+            st.integers(min_value=0, max_value=99),
+            st.integers(min_value=0, max_value=13),
+            st.one_of(
+                st.sampled_from(
+                    [
+                        "1_0", '"1"', "+3", " 2 ", "\t1", "1.0", "1e3", "-0", "-1",
+                        "nan", "inf", "-inf", "1e400", "1e-400", "1e308", "0x10",
+                        "٣", "", " ", "1,2", ".5", "5.", "Infinity", "-NaN",
+                        "1\xa0", "9223372036854775808", str(10**15), "0" * 400 + "1",
+                    ]
+                ),
+                st.text(st.characters(exclude_categories=("Cs",)), max_size=5),
+            ),
+        ),
+        max_size=3,
+    ),
+    shuffle=st.randoms(use_true_random=False),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    unit_scale=st.sampled_from([1.0, 0.01, 1e300]),
+)
+
+
+def assert_edited_file_loads_like_row_parser(n, m, seed, edits, shuffle, newline, unit_scale):
+    """A written session, shuffled and edited, loads as the row parser reads it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.csv"
+        write_session(path, small_session(n=n, m=m, seed=seed))
+        header, *rows = rows_of(path)
+        shuffle.shuffle(rows)
+        lines = [",".join(r) for r in rows]
+        for kind, at, column, token in edits:
+            k = at % len(lines) if lines else 0
+            if kind == "cell" and lines:
+                cells = lines[k].split(",")
+                cells[column % len(cells)] = token
+                lines[k] = ",".join(cells)
+            elif kind == "drop" and lines:
+                del lines[k]
+            elif kind == "repeat" and lines:
+                lines.insert(at % (len(lines) + 1), lines[k])
+            elif kind == "insert":
+                lines.insert(k, token)
+        path.write_bytes(newline.join([",".join(header)] + lines).encode() + b"\n")
+        assert_loads_like_row_parser(path, unit_scale)
 
 
 class TestFastPath:
@@ -447,56 +568,149 @@ class TestFastPath:
         assert session.track(1).translations[1, 0] == 10.0
 
     @settings(max_examples=120, deadline=None)
-    @given(
-        n=st.integers(min_value=1, max_value=3),
-        m=st.integers(min_value=1, max_value=3),
-        seed=st.integers(min_value=0, max_value=2**16),
-        edits=st.lists(
-            st.tuples(
-                st.sampled_from(["cell", "drop", "repeat", "insert"]),
-                st.integers(min_value=0, max_value=99),
-                st.integers(min_value=0, max_value=13),
-                st.one_of(
-                    st.sampled_from(
-                        [
-                            "1_0", '"1"', "+3", " 2 ", "\t1", "1.0", "1e3", "-0", "-1",
-                            "nan", "inf", "-inf", "1e400", "1e-400", "1e308", "0x10",
-                            "٣", "", " ", "1,2", ".5", "5.", "Infinity", "-NaN",
-                            "1\xa0", "9223372036854775808", str(10**15), "0" * 400 + "1",
-                        ]
-                    ),
-                    st.text(st.characters(exclude_categories=("Cs",)), max_size=5),
-                ),
+    @given(**EDITED_FILES)
+    def test_matches_row_parser_on_edited_files(self, **example):
+        assert_edited_file_loads_like_row_parser(**example)
+
+
+class TestFastPathSplit(TestFastPath):
+    """Every TestFastPath case again, with each file that holds a "\\n" after
+    the middle of its rows split between this process and a forked helper."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def split_every_file(self):
+        if not capture._helper_pays(capture._HELPER_MIN_ROWS):
+            pytest.skip("needs os.fork and two usable CPUs")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(capture, "_HELPER_MIN_ROWS", 0)
+            yield
+
+    # Hypothesis runs a test from one class only, so the subclass repeats it
+    @settings(max_examples=120, deadline=None)
+    @given(**EDITED_FILES)
+    def test_matches_row_parser_on_edited_files(self, **example):
+        assert_edited_file_loads_like_row_parser(**example)
+
+    @pytest.mark.parametrize(
+        "text, helper_part",
+        [
+            (ORACLE_FILES["crlf"], GOOD_ROWS[3] + "\r\n"),
+            (ORACLE_FILES["cr-only"], None),  # no "\n": one process reads it all
+            (
+                CSV_HEADER + "\n" + "\n".join(GOOD_ROWS[:2]) + "\n" * 60
+                + "\n".join(GOOD_ROWS[2:]),
+                "\n" * 29 + "\n".join(GOOD_ROWS[2:]),
             ),
-            max_size=3,
-        ),
-        shuffle=st.randoms(use_true_random=False),
-        newline=st.sampled_from(["\n", "\r\n"]),
-        unit_scale=st.sampled_from([1.0, 0.01, 1e300]),
+            (
+                CSV_HEADER + "\n" + "\n".join(GOOD_ROWS[:3]) + " " * 120 + "\n" + GOOD_ROWS[3],
+                GOOD_ROWS[3],
+            ),
+            (CSV_HEADER + "\n" + "\n".join(GOOD_ROWS) + " " * 150 + "\n", ""),
+        ],
+        ids=["crlf", "cr-only", "blank-lines-at-split", "last-row-alone", "split-after-last-row"],
     )
-    def test_matches_row_parser_on_edited_files(
-        self, n, m, seed, edits, shuffle, newline, unit_scale
-    ):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "s.csv"
-            write_session(path, small_session(n=n, m=m, seed=seed))
-            header, *rows = rows_of(path)
-            shuffle.shuffle(rows)
-            lines = [",".join(r) for r in rows]
-            for kind, at, column, token in edits:
-                k = at % len(lines) if lines else 0
-                if kind == "cell" and lines:
-                    cells = lines[k].split(",")
-                    cells[column % len(cells)] = token
-                    lines[k] = ",".join(cells)
-                elif kind == "drop" and lines:
-                    del lines[k]
-                elif kind == "repeat" and lines:
-                    lines.insert(at % (len(lines) + 1), lines[k])
-                elif kind == "insert":
-                    lines.insert(k, token)
-            path.write_bytes(newline.join([",".join(header)] + lines).encode() + b"\n")
-            assert_loads_like_row_parser(path, unit_scale)
+    def test_split_point(self, tmp_path, text, helper_part):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        with open(path, "rb") as fh:
+            row = len(GOOD_ROWS[0]) + 1
+            split = capture._split_point(fh.fileno(), len(CSV_HEADER) + 1, row)
+        if helper_part is None:
+            assert split is None
+        else:
+            assert text[split[0] :] == helper_part
+        assert_loads_like_row_parser(path)
+        assert capture._load_table(path, 1.0) is not None
+
+    def test_bad_row_in_the_helpers_part_is_named(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_session(path, small_session(n=20, m=2, seed=11))
+        text = path.read_text().replace("\n18,1,", "\n18,1.5,")
+        path.write_text(text)
+        with open(path, "rb") as fh:
+            begin = len(CSV_HEADER) + 1
+            split, end = capture._split_point(fh.fileno(), begin, 100)
+            assert "18,1.5," in text[split:]
+            assert 0 < len(capture._load_range(fh.fileno(), begin, split)) < 37
+        assert capture._load_table(path, 1.0) is None
+        with pytest.raises(ParseError, match="row 39: invalid literal for int"):
+            load_session(path)
+        assert_loads_like_row_parser(path)
+        assert_no_child_left()
+
+
+class TestHelper:
+    """How write_session and load_session behave when the helper cannot run or fails."""
+
+    def test_fork_failure_runs_serially(self, tmp_path, monkeypatch):
+        session = small_session(n=40, m=3, seed=12)
+        expected = tmp_path / "expected.csv"
+        write_session(expected, session)
+        forks = force_helper(monkeypatch)
+
+        def no_fork():
+            forks[0] += 1
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        path = tmp_path / "s.csv"
+        write_session(path, session)
+        assert path.read_bytes() == expected.read_bytes()
+        assert_same_outcome(outcome(load_session, path, 1.0), outcome(load_session, expected, 1.0))
+        assert forks == [3]
+        assert_no_child_left()
+
+    def test_one_cpu_runs_serially(self, tmp_path, monkeypatch):
+        session = small_session(n=40, m=3, seed=13)
+        expected = tmp_path / "expected.csv"
+        write_session(expected, session)
+        forks = force_helper(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        path = tmp_path / "s.csv"
+        write_session(path, session)
+        assert path.read_bytes() == expected.read_bytes()
+        load_session(path)
+        assert forks == [0]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("death", ["exit", "mid-message"])
+    def test_helper_failure_fails_the_write(self, tmp_path, monkeypatch, death):
+        forks = force_helper(monkeypatch)
+        monkeypatch.setattr(capture, "_WRITE_BLOCK_ROWS", 3)
+        monkeypatch.setattr(capture, "_send", HELPER_DEATHS[death])
+        with pytest.raises(OSError, match="s.csv: not fully written"):
+            write_session(tmp_path / "s.csv", small_session(n=10, m=3, seed=14))
+        assert forks == [1]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("death", ["exit", "mid-message"])
+    def test_helper_failure_on_load_falls_back(self, tmp_path, monkeypatch, death):
+        path = tmp_path / "s.csv"
+        session = small_session(n=10, m=3, seed=15)
+        write_session(path, session)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(path.read_text().replace("\n9,2,", "\n9,0,"))
+        expected = [outcome(load_session, p, 1.0) for p in (path, bad)]
+        forks = force_helper(monkeypatch)
+        monkeypatch.setattr(capture, "_send", HELPER_DEATHS[death])
+        assert capture._load_table(path, 1.0) is None
+        for p, before in zip((path, bad), expected):
+            assert_same_outcome(outcome(load_session, p, 1.0), before)
+        assert forks == [3]
+        assert_no_child_left()
+
+
+def _exit_unsent(out, payload):
+    os._exit(3)
+
+
+def _die_mid_message(out, payload):
+    out.write(len(bytes(payload)).to_bytes(8, "little") + bytes(payload)[:10])
+    out.flush()
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+HELPER_DEATHS = {"exit": _exit_unsent, "mid-message": _die_mid_message}
 
 
 class TestModelInvariants:

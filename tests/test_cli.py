@@ -45,6 +45,7 @@ from skelfit.synth import (
     linkage_spec,
     rigid_pair_spec,
     save_spec,
+    spec_to_dict,
 )
 
 from conftest import manual_pair_session
@@ -486,6 +487,31 @@ class TestSynth:
             spec_dir / "session.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("relabel", [None, "pelvis"])
+    def test_labels_round_trip_through_build_skeleton(self, tmp_path, capsys, relabel):
+        from skelfit.synth import figure16_spec
+
+        spec = figure16_spec(frames=40, seed=3)
+        data = spec_to_dict(spec)
+        if relabel is not None:
+            data["bodies"][1]["label"] = relabel  # body 0 is the pelvis
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(data))
+        out_dir = tmp_path / "bundle"
+        code = main(["synth", "--spec", str(spec_path), "--out-dir", str(out_dir)])
+        if relabel is not None:
+            assert code == 3
+            assert "label 'pelvis' names bodies 0 and 1" in capsys.readouterr().err
+            assert not out_dir.exists()
+            return
+        assert code == 0
+        skel = tmp_path / "skel.json"
+        args = ["build-skeleton", str(out_dir / "session.csv"), "--output", str(skel)]
+        assert main([*args, "--labels", str(out_dir / "labels.csv")]) == 0
+        capsys.readouterr()
+        labels = {b.body_id: b.label for b in spec.bodies}
+        assert load_skeleton(skel).labels == labels
+
     def test_preset_and_spec_conflict(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(
@@ -659,6 +685,33 @@ class TestExitCodes:
             args = ["synth", "--spec", str(bad), "--out-dir", str(tmp_path / "out")]
         assert main(args) == 2
         assert f"error: {bad}{message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["reconstruct", "synth"])
+    def test_failed_write_helper_exits_4(self, tmp_path, capsys, monkeypatch, command):
+        # a helper process that formats half the rows dies before sending them
+        from skelfit import capture
+
+        if not capture._helper_pays(capture._HELPER_MIN_ROWS):
+            pytest.skip("needs os.fork and two usable CPUs")
+        session, _ = generate(linkage_spec(frames=200, seed=95))
+        session_path = tmp_path / "noisy.csv"
+        write_session(session_path, session)
+        skel_path = tmp_path / "skeleton.json"
+        save_skeleton(skel_path, fit_skeleton(session))
+        monkeypatch.setattr(capture, "_HELPER_MIN_ROWS", 0)
+        monkeypatch.setattr(capture, "_send", lambda out, payload: os._exit(3))
+        if command == "reconstruct":
+            out_path = tmp_path / "rebuilt.csv"
+            assert main(["reconstruct", str(session_path), str(skel_path), str(out_path)]) == 4
+        else:
+            out_path = tmp_path / "bundle" / "session.csv"
+            args = ["synth", "--preset", "linkage", "--frames", "200", "--seed", "95"]
+            assert main([*args, "--out-dir", str(out_path.parent)]) == 4
+        captured = capsys.readouterr()
+        assert f"error: {out_path}: not fully written: helper process" in captured.err
+        assert f"wrote {out_path}" not in captured.out
+        with pytest.raises(ChildProcessError):  # the helper was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve-joint", str(tmp_path / "nope.csv"), "1", "0"]) == 4
@@ -1085,3 +1138,34 @@ def test_cli_import_leaves_scipy_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_cli_steps_with_helper_processes_warn_nothing(tmp_path):
+    """synth, build-skeleton and reconstruct on a session large enough for the
+    forked helpers, under -W error and with BLAS free to start its threads."""
+    from skelfit.capture import _HELPER_MIN_ROWS
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    }
+    env["PYTHONPATH"] = str(src)
+    bundle, skel = tmp_path / "bundle", tmp_path / "skel.json"
+    frames = 2 * _HELPER_MIN_ROWS // 16  # twice the rows a helper needs: figure16 has 16 bodies
+    steps = [
+        ["synth", "--preset", "figure16", "--frames", str(frames), "--out-dir", str(bundle)],
+        ["build-skeleton", str(bundle / "session.csv"), "--output", str(skel)],
+        ["reconstruct", str(bundle / "session.csv"), str(skel), str(tmp_path / "out.csv")],
+    ]
+    for step in steps:
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "skelfit.cli", *step],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), step
+    assert load_session(tmp_path / "out.csv").frame_count == frames

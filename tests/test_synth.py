@@ -373,6 +373,13 @@ class TestGenerate:
         with pytest.raises(InvalidSpecError):
             SynthSpec(bodies=(SynthBody(0, None), SynthBody(1, 5)), frame_count=10)
 
+    def test_a_label_names_one_body(self):
+        # the synth CLI writes the labels as a sidecar that maps them one to one
+        bodies = figure16_spec(frames=10, seed=1).bodies
+        bodies = (bodies[0], replace(bodies[1], label=bodies[0].label)) + bodies[2:]
+        with pytest.raises(InvalidSpecError, match="label 'pelvis' names bodies 0 and 1"):
+            SynthSpec(bodies=bodies, frame_count=10)
+
     def test_rotations_stay_orthonormal_with_rotation_noise(self):
         session, _ = generate(
             linkage_spec(frames=50, seed=75, sigma_t=0.0, sigma_r=0.05)
@@ -516,6 +523,29 @@ class TestSpecSerialization:
                 lambda d: d["bodies"][1]["excitation"].update(max_angle="0.5"),
                 "'0.5' is not a finite JSON number",
             ),
+            # label and sample_interval were passed through unchecked
+            (
+                lambda d: d["bodies"][1].update(label=[1, 2]),
+                r"body 1: label must be a string or null, got \[1, 2\]",
+            ),
+            (lambda d: d["bodies"][2].update(label=7), "body 2: label must be a string or null"),
+            (
+                lambda d: d.update(sample_interval="abc"),
+                "sample_interval: 'abc' is not a finite JSON number",
+            ),
+            (
+                lambda d: d.update(sample_interval=True),
+                "sample_interval: True is not a finite JSON number",
+            ),
+            (
+                lambda d: d.update(sample_interval=float("inf")),
+                "sample_interval: inf is not a finite JSON number",
+            ),
+            (
+                lambda d: d.update(sample_interval=-0.01),
+                "sample_interval must be finite and positive",
+            ),
+            (lambda d: d.update(sample_interval=0), "sample_interval must be finite and positive"),
         ],
         ids=[
             "bool-id",
@@ -529,6 +559,13 @@ class TestSpecSerialization:
             "nan-unit-distortion",
             "bool-max-angle",
             "string-max-angle",
+            "list-label",
+            "integer-label",
+            "string-sample-interval",
+            "bool-sample-interval",
+            "inf-sample-interval",
+            "negative-sample-interval",
+            "zero-sample-interval",
         ],
     )
     def test_json_types_are_not_coerced(self, mutate, pattern):
