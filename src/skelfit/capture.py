@@ -32,6 +32,20 @@ does all the work when the session has fewer than `_HELPER_MIN_ROWS`
 rows (the measured break-even), when `os.fork` is missing or fails,
 when fewer than two CPUs are usable, or when the file has no "\n" after
 its middle.  A helper that fails makes `write_session` raise OSError.
+On Linux the pipe holds 1 MiB, so the helper formats a few blocks ahead
+of the writes.
+
+`write_session` does not call repr on each float.  `_float_text` finds
+the shortest digits that read back to each value of a whole block at
+once, exactly, in IEEE double arithmetic: Dekker's two-product gives
+|x| * 10**t exactly, and the shortest rounding of it that lies inside
+x's rounding interval is repr's (Ryu, Adams, PLDI 2018).  Each value is
+laid out in fixed columns and one mask compresses the block into text.
+A value it cannot certify goes to repr, one value at a time: one outside
+repr's positional band 1e-4 <= |x| < 1e16 (zeros, NaN and inf too), one
+whose mantissa is a power of two, an exact tie, a round-trip test within
+a relative 2**-40 of its bound, or a rounding that carries to 10**p.  So
+the bytes are repr's by construction.
 
 Every other CSV or JSON file goes through `csv_records`, `write_csv`,
 `read_json` and `write_json`, as UTF-8; bad text raises ParseError naming
@@ -41,17 +55,23 @@ and `json_number` refuses a bool, string, null, NaN or inf as a number.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 import os
 import signal
 import warnings
-from contextlib import closing, contextmanager
+from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+try:
+    import fcntl
+except ImportError:  # not on Windows, which has no os.fork either
+    fcntl = None
 
 from .errors import (
     DuplicateCellError,
@@ -69,8 +89,10 @@ _ROW_DTYPE = np.dtype(
 
 _WRITE_BLOCK_ROWS = 1024  # rows write_session gathers at once; bounds its extra memory
 # rows from which a forked helper pays for itself: the measured break-even in a
-# 60 MB process was about 4096 rows for write_session and 8192 for load_session
+# 60 MB process is between 4096 and 8192 rows for write_session, and 8192 for
+# load_session
 _HELPER_MIN_ROWS = 8192
+_PIPE_BYTES = 1 << 20  # the helper's pipe, so it can format ahead of the writes (Linux's limit)
 
 SHORT_SESSION_FRAMES = 30  # advisory floor for a reliable fit
 ORTHO_WARN_ATOL = 1e-3  # advisory bound on sensor rotations' orthonormality
@@ -125,6 +147,8 @@ class CaptureSession:
     def __post_init__(self):
         object.__setattr__(self, "bodies", tuple(self.bodies))
         ids = [b.body_id for b in self.bodies]
+        if not ids:
+            raise ValueError("a session needs at least one body")
         if ids != list(range(len(ids))):
             raise ValueError(f"body ids must be 0..m-1 in order, got {ids}")
         if self.frame_count < 1:
@@ -305,12 +329,14 @@ def _load_rows(path, unit_scale: float) -> CaptureSession:
 def write_session(path, session: CaptureSession):
     """Write the transform-stream CSV; floats round-trip bit-exactly.
 
-    Rows are formatted in blocks of frames.  For a large session a forked
-    helper formats every second block and sends it back through a pipe;
-    OSError (ChildProcessError) if the helper fails, as for a failed write.
+    Each float is written as its repr, though repr is called only on the
+    few values `_float_text` cannot certify.  Rows are formatted in blocks
+    of frames.  For a large session a forked helper formats every second
+    block and sends it back through a pipe; OSError (ChildProcessError) if
+    the helper fails, as for a failed write.
     """
     n, m = session.frame_count, session.body_count
-    step = max(1, _WRITE_BLOCK_ROWS // max(m, 1))  # frames gathered at a time
+    step = max(1, _WRITE_BLOCK_ROWS // m)  # frames gathered at a time
     starts = range(0, n, step)
 
     def send_odd_blocks(out):
@@ -331,16 +357,182 @@ def write_session(path, session: CaptureSession):
 
 
 def _format_block(session: CaptureSession, start: int, step: int) -> bytes:
-    """The CSV rows of frames start..start+step-1, frame-major."""
-    block = np.empty((min(step, session.frame_count - start), session.body_count, 12))
+    """The CSV rows of frames start..start+step-1, frame-major.
+
+    Each row is laid out in fixed columns, with a mask of the bytes it
+    shows; one compress of the block by its mask makes the text.
+    """
+    frames, m = min(step, session.frame_count - start), session.body_count
+    rows = frames * m
+    block = np.empty((frames, m, 12))
     for b in session.bodies:  # body ids are 0..m-1
         block[:, b.body_id, :9] = b.rotations[start : start + step].reshape(-1, 9)
         block[:, b.body_id, 9:] = b.translations[start : start + step]
-    return "".join(
-        f"{frame},{body},{','.join(map(repr, row))}\n"
-        for frame, rows in enumerate(block.tolist(), start)
-        for body, row in enumerate(rows)
-    ).encode()
+    # "frame,body" in NUL-padded columns; each value brings its own ","
+    frame_text = np.array([f"{f}," for f in range(start, start + frames)], "S")
+    body_text = np.array([str(b) for b in range(m)], "S")
+    prefix = np.empty((frames, m, frame_text.itemsize + body_text.itemsize), np.uint8)
+    prefix[:, :, : frame_text.itemsize] = frame_text.view(np.uint8).reshape(frames, 1, -1)
+    prefix[:, :, frame_text.itemsize :] = body_text.view(np.uint8).reshape(1, m, -1)
+    prefix = prefix.reshape(rows, -1)
+    chars, shown = _float_text(block.reshape(-1))
+    newline = np.full((rows, 1), ord("\n"), np.uint8)
+    chars = np.concatenate([prefix, chars.reshape(rows, -1), newline], axis=1)
+    shown = np.concatenate([prefix != 0, shown.reshape(rows, -1), newline != 0], axis=1)
+    return np.compress(shown.ravel(), chars.ravel()).tobytes()
+
+
+_DOUBT = 2.0**-40  # relative margin around a round-trip bound that sends a value to repr
+
+# `_float_text` lays a value out in 44 columns, as 11 four-byte words:
+# ",-0." | "000" and the lead digit | the other 16 digits | "." and 3 pads |
+# those 16 digits again.  The first copy shows the digits before a ".",
+# the second those after it.
+_SIGN, _LEAD, _DOT, _AFTER = 1, 7, 24, 27  # _AFTER + j: digit j >= 1 of the second copy
+
+
+@functools.cache
+def _text_tables():
+    """`_float_text`'s tables, built on first use (a fit never writes a session).
+
+    digits4[k] is the 4 ASCII digits of k in 0..9999 as one word, lead4[k]
+    "000" and digit k (k = 10, ":", only in lanes repr overwrites), and
+    head4 and dot4 the words ",-0." and "."; pow10 is 10**t for t in
+    0..22, every one exact, and pow10_hi + pow10_lo its split into 26-bit
+    halves (Veltkamp); shown[(d + 3) * 18 + k] marks the columns of repr's
+    positional text with decimal point position d (-3..16: "0.000ddd" to
+    "dddd.d") and k digits.
+    """
+    quad = np.arange(10000, dtype=np.uint16)
+    digits = np.stack([quad // 1000, quad // 100 % 10, quad // 10 % 10, quad % 10], axis=1)
+    digits4 = (48 + digits).astype(np.uint8).view(np.uint32).ravel()
+    lead4 = np.frombuffer(b"".join(b"000" + bytes([48 + k]) for k in range(11)), np.uint32)
+    head4, dot4 = np.frombuffer(b",-0..\0\0\0", np.uint32)
+    pow10 = np.array([float(10**t) for t in range(23)])
+    pow10_hi = pow10 * 134217729.0 - (pow10 * 134217729.0 - pow10)
+    shown = np.zeros((20, 18, 44), bool)
+    shown[..., 0] = True
+    for d in range(-3, 17):
+        for k in range(1, 18):
+            row = shown[d + 3, k]
+            if d <= 0:  # "0.", -d zeros, then the digits
+                row[_SIGN + 1 : _SIGN + 3 - d] = True
+                row[_LEAD : _LEAD + k] = True
+            else:  # d digits, ".", then the rest
+                row[_LEAD : _LEAD + d] = True
+                row[_DOT] = True
+                row[_AFTER + d : _AFTER + k] = True
+    pow10_lo = pow10 - pow10_hi
+    shown = shown.reshape(20 * 18, -1)
+    for table in digits4, pow10, pow10_hi, pow10_lo, shown:  # shared by every call
+        table.setflags(write=False)
+    return digits4, lead4, head4, dot4, pow10, pow10_hi, pow10_lo, shown
+
+
+def _float_text(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """"," then the repr of each float of x: (len(x), 44) bytes and a mask of those shown.
+
+    Each value's digits are computed exactly in IEEE double arithmetic,
+    so the text is repr's by construction: a value the kernel cannot
+    certify, and any value outside it, is formatted by repr.
+
+    The kernel takes finite |x| in 1e-4 <= |x| < 1e16, repr's positional
+    band, whose mantissa is not a power of two (the rounding interval of
+    those is lopsided).  With t = 16 - floor(log10|x|), the product
+    V = |x| * 10**t is exact as hi + lo (Dekker's two-product), and its
+    nearest integer d17 must have 17 digits (else the log10 estimate was
+    off).  Half an ulp of x, scaled likewise, is h = 10**t * 2**(E - 54),
+    also exact; p digits round-trip iff the p-digit value nearest V is
+    less than h from it.  That holds for p = 17 and, if for p, for every
+    larger p, so the smallest such p is repr's length, and on a symmetric
+    interval repr's digits are the nearest p-digit value (Ryu, Adams,
+    PLDI 2018).  To repr go the values with an exact tie between two
+    p-digit values, a test within a relative 2**-40 of h, or a rounding
+    that carries to 10**p.
+    """
+    digits4, lead4, head4, dot4, pow10, pow10_hi, pow10_lo, shown_table = _text_tables()
+    n = len(x)
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)  # NaN fails both
+    a = np.where(fast, a, 1.5)  # the other lanes compute on a harmless value
+    mantissa, exponent = np.frexp(a)
+    fast &= mantissa != 0.5
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    t = 16 - e10
+    split = a * 134217729.0
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    p10, p_hi, p_lo = pow10[t], pow10_hi[t], pow10_lo[t]
+    hi = a * p10
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    whole = np.rint(lo)
+    rho = lo - whole  # V - d17, exactly
+    d17 = hi.astype(np.int64) + whole.astype(np.int64)  # hi >= 2**53 is an integer
+    fast &= (d17 >= 10**16) & (d17 < 10**17)
+    h = np.ldexp(p10, exponent - 54)
+
+    count = np.full(n, 17)  # digits of the shortest round trip
+    cut = np.zeros(n, np.int64)  # d17 minus that many digits' rounding of V
+    unsure = np.abs(rho) == 0.5  # a tie at 17 digits
+    at = None  # D, R and H hold every lane until few pass, then the lanes `at`
+    D, R, H = d17, rho, h
+    for p in range(16, 0, -1):
+        q = 10 ** (17 - p)
+        rem = D - D // q * q
+        half = rem == q // 2
+        step = rem - q * ((rem > q // 2) | (half & (R > 0)))
+        delta = np.abs(step + R)  # from V to the nearest multiple of q
+        ok = delta < H * (1 - _DOUBT)
+        near = ~ok & (delta <= H * (1 + _DOUBT))
+        tie = half & (R == 0)
+        passes = np.count_nonzero(ok)
+        if at is None:  # a lane that failed at p + 1 fails again at p
+            count -= ok
+            cut = np.where(ok, step, cut)
+            unsure = np.where(ok, tie, unsure | near)
+            if 4 * passes < n:
+                at = np.flatnonzero(ok)
+                D, R, H = D[at], R[at], H[at]
+        else:
+            unsure[at[near]] = True
+            at = at[ok]
+            count[at] = p
+            cut[at] = step[ok]
+            unsure[at] = tie[ok]
+            D, R, H = D[ok], R[ok], H[ok]
+        if not passes:
+            break
+    digits = d17 - cut  # the chosen digits, then zeros, 17 in all
+    fast &= ~unsure & (digits < 10**17)
+
+    d = np.clip(e10 + 1, -3, 16)  # the decimal point position; clipped for repr's lanes
+    shown = np.where(d <= 0, count, np.maximum(count, d + 1))  # 120.0: digits to the point
+    shown = shown_table.take((d + 3) * 18 + shown, axis=0)
+    shown[:, _SIGN] = np.signbit(x)
+    top = digits // 10**8
+    bottom = digits - top * 10**8
+    top4 = top // 10**4
+    lead = top4 // 10**4
+    quads = np.empty((n, 4), np.int64)
+    quads[:, 0] = top4 - lead * 10**4
+    quads[:, 1] = top - top4 * 10**4
+    quads[:, 2] = bottom // 10**4
+    quads[:, 3] = bottom - quads[:, 2] * 10**4
+    words = np.empty((n, 11), np.uint32)
+    words[:, 0] = head4
+    words[:, 1] = lead4[lead]
+    words[:, 2:6] = words[:, 7:] = digits4[quads]
+    words[:, 6] = dot4
+    chars = words.view(np.uint8)
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = np.array([repr(v) for v in x[slow].tolist()], "S24").view(np.uint8)
+        text = text.reshape(-1, 24)
+        chars[slow, _SIGN : _SIGN + 24] = text
+        shown[slow, _SIGN:] = False
+        shown[slow, _SIGN : _SIGN + 24] = text != 0
+    return chars, shown
 
 
 def _helper_pays(rows: int) -> bool:
@@ -370,6 +562,9 @@ def _helper(work):
         except OSError:
             pass
         else:
+            if hasattr(fcntl, "F_SETPIPE_SZ"):  # Linux: room for a few blocks ahead
+                with suppress(OSError):
+                    fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
             try:
                 with warnings.catch_warnings():
                     # Python 3.12+ warns on a fork in a process with threads (OpenBLAS
@@ -581,14 +776,19 @@ def with_labels(session: CaptureSession, labels: dict[int, str]) -> CaptureSessi
 
 
 def validate(session: CaptureSession) -> list[str]:
-    """Advisory checks; returns human-readable warnings, never raises."""
+    """Advisory checks; returns human-readable warnings, never raises.
+
+    A body whose rotations stray from orthonormal gets one note: how many
+    frames, the worst deviation and the first frame.
+    """
     notes = []
     for body in session.bodies:
         errs = orthonormality_error(body.rotations)
-        for k in np.nonzero(errs > ORTHO_WARN_ATOL)[0]:
+        bad = np.flatnonzero(errs > ORTHO_WARN_ATOL)
+        if bad.size:
             notes.append(
-                f"body {body.body_id} frame {k}: rotation deviates from orthonormal "
-                f"by {errs[k]:g}"
+                f"body {body.body_id}: rotation deviates from orthonormal in {bad.size} "
+                f"frame(s), by up to {errs[bad].max():g}; first at frame {bad[0]}"
             )
     if session.frame_count < SHORT_SESSION_FRAMES:
         notes.append(

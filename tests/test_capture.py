@@ -33,6 +33,7 @@ from skelfit.errors import (
     SingularRotationError,
 )
 from skelfit.hierarchy import load_parent_map
+from skelfit.rigid import orthonormality_error
 from conftest import haar_rotations
 
 
@@ -223,6 +224,118 @@ class TestRoundTrip:
         write_session(path, small_session(n=3, m=2, seed=5))
         with pytest.raises(ValueError, match="unit_scale"):
             load_session(path, unit_scale=scale)
+
+
+def reference_block(session: CaptureSession, start: int, step: int) -> bytes:
+    """The rows of frames start..start+step-1 as the per-float repr formatter wrote them."""
+    block = np.empty((min(step, session.frame_count - start), session.body_count, 12))
+    for b in session.bodies:
+        block[:, b.body_id, :9] = b.rotations[start : start + step].reshape(-1, 9)
+        block[:, b.body_id, 9:] = b.translations[start : start + step]
+    return "".join(
+        f"{frame},{body},{','.join(map(repr, row))}\n"
+        for frame, rows in enumerate(block.tolist(), start)
+        for body, row in enumerate(rows)
+    ).encode()
+
+
+def float_text(values) -> bytes:
+    chars, shown = capture._float_text(np.asarray(values, dtype=np.float64))
+    return np.compress(shown.ravel(), chars.ravel()).tobytes()
+
+
+def repr_text(values) -> bytes:
+    return "".join(f",{v!r}" for v in np.asarray(values, dtype=np.float64).tolist()).encode()
+
+
+def count_repr_calls(monkeypatch) -> list:
+    """From here on capture's per-value repr fallback is counted; returns a one-item list."""
+    calls = [0]
+
+    def counted(value):
+        calls[0] += 1
+        return repr(value)
+
+    monkeypatch.setattr(capture, "repr", counted, raising=False)
+    return calls
+
+
+def float_family(name: str, rng: np.random.Generator) -> np.ndarray:
+    n = 20000
+    if name == "normal":
+        return rng.normal(size=n)
+    if name == "log-uniform":
+        return np.exp(rng.uniform(math.log(1e-6), math.log(1e18), n)) * rng.choice([-1, 1], n)
+    if name == "bit patterns":  # every sign, subnormals, huge values, NaN and inf
+        return rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+    if name == "short decimals":
+        x = rng.normal(size=n) * 10.0 ** rng.integers(-4, 8, n)
+        return np.array([round(v, d) for v, d in zip(x.tolist(), rng.integers(0, 12, n).tolist())])
+    powers = 10.0 ** np.arange(-6, 19)
+    if name == "powers of ten":
+        near = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+        return np.concatenate([near, -near])
+    if name == "powers of two":
+        two = 2.0 ** np.arange(-30, 64)
+        near = np.concatenate([two, 1.5 * two, 1.25 * two, 0.75 * two, np.nextafter(two, 0)])
+        return np.concatenate([near, np.nextafter(two, np.inf), -near])
+    assert name == "edges"
+    return np.array(
+        [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+         1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), -1e-4,
+         1e16, 9.999999999999999e15, -9.999999999999999e15, np.nextafter(1e16, 1e17),
+         123.0, -123.0, 1e15, 9999999999999998.0, 0.1 + 0.2, 2.5, 0.125, 1 / 3,
+         np.inf, -np.inf, np.nan]
+    )
+
+
+FLOAT_FAMILIES = [
+    "normal", "log-uniform", "bit patterns", "short decimals", "powers of ten",
+    "powers of two", "edges",
+]
+
+
+class TestFloatText:
+    """The exact formatter against repr, byte for byte."""
+
+    @pytest.mark.parametrize("family", FLOAT_FAMILIES)
+    def test_matches_repr(self, family):
+        values = float_family(family, np.random.default_rng(FLOAT_FAMILIES.index(family)))
+        assert float_text(values) == repr_text(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+    def test_matches_repr_on_any_finite_floats(self, values):
+        assert float_text(values) == repr_text(values)
+
+    def test_normal_values_skip_repr(self, monkeypatch):
+        # a silent fall to repr for every value would keep the bytes but lose the speed
+        values = np.random.default_rng(7).normal(size=20000)
+        calls = count_repr_calls(monkeypatch)
+        assert float_text(values) == repr_text(values)
+        assert calls[0] <= 0.01 * len(values)
+
+    def test_uncertified_values_go_to_repr(self, monkeypatch):
+        # outside the positional band, a power-of-two mantissa, an exact tie at 17 digits
+        values = [1e-5, 1e16, 0.0, 0.5, 1234567890123456.25, 1.5]
+        calls = count_repr_calls(monkeypatch)
+        assert float_text(values) == repr_text(values)
+        assert calls[0] == 5
+
+    def test_block_matches_reference(self, tmp_path):
+        # frame and body numbers grow a digit inside the block; values of every family
+        rng = np.random.default_rng(3)
+        n, m = 12, 11
+        bodies = []
+        for b in range(m):
+            t = float_family(FLOAT_FAMILIES[b % len(FLOAT_FAMILIES)], rng)[: n * 3]
+            t = np.where(np.isfinite(t), t, 1.0)
+            t = np.resize(t, n * 3).reshape(n, 3)
+            bodies.append(BodyTrack(b, haar_rotations(rng, n), t))
+        session = CaptureSession(tuple(bodies), n)
+        path = tmp_path / "s.csv"
+        write_session(path, session)
+        assert path.read_bytes() == CSV_HEADER.encode() + b"\n" + reference_block(session, 0, n)
 
 
 class TestParseErrors:
@@ -725,6 +838,11 @@ class TestModelInvariants:
         with pytest.raises(ValueError):
             BodyTrack(0, np.tile(np.eye(3), (2, 1, 1)), np.zeros((3, 3)))
 
+    def test_session_needs_a_body(self):
+        # a header-only file would not load back
+        with pytest.raises(ValueError, match="at least one body"):
+            CaptureSession((), 3)
+
     def test_session_rejects_short_track(self):
         R = np.tile(np.eye(3), (3, 1, 1))
         short = BodyTrack(1, R[:2], np.zeros((2, 3)))
@@ -830,6 +948,19 @@ class TestValidate:
         assert len(messages) == 1
         assert "body 1" in messages[0]
         assert "frame 7" in messages[0]
+
+    def test_one_note_per_body(self):
+        session = small_session(n=40, m=3, seed=3)
+        R = session.track(0).rotations * 1.01
+        R[5] *= 1.1
+        patched = CaptureSession(
+            (BodyTrack(0, R, session.track(0).translations), *session.bodies[1:]), 40
+        )
+        (message,) = validate(patched)
+        assert message.startswith("body 0:")
+        assert "in 40 frame(s)" in message
+        assert f"by up to {orthonormality_error(R).max():g};" in message
+        assert "first at frame 0" in message
 
     def test_short_session_advisory(self):
         messages = validate(small_session(n=5, seed=3))
