@@ -47,13 +47,14 @@ from .solver import (
     DEFAULT_RANK_TOL,
     MAX_HISTOGRAM_BINS,
     Classification,
+    calibrate_pair,
     residual_histogram,
     residual_summary,
     solve_joint,
     write_histogram_csv,
     write_residual_csv,
 )
-from .synth import PRESETS, calibrate_pair, generate, load_spec, save_spec
+from .synth import PRESETS, generate, load_spec, save_spec
 
 
 def _fmt(x: float) -> str:

@@ -7,8 +7,8 @@ placements as stacked (n, 3, 3) and (n, 3) arrays.
 
 The validity rules for rotational components live here once, for one
 matrix or a stack of frames: `is_non_finite`, `is_singular` and
-`orthonormality_error`.  `rotation_about_axis` builds the turns synth
-plays back.
+`orthonormality_error`.  `quaternion_matrix` builds every rotation synth
+draws; `rotation_about_axis` feeds it (sin(angle/2) * axis, cos(angle/2)).
 """
 from __future__ import annotations
 
@@ -45,12 +45,33 @@ def orthonormality_error(R: np.ndarray) -> np.ndarray:
     return np.abs(gram - np.eye(3)).max(axis=(-2, -1))
 
 
-def rotation_about_axis(axis, angle: float) -> np.ndarray:
-    """Rotation matrix for a right-handed turn of `angle` radians about `axis`."""
+def quaternion_matrix(q: np.ndarray) -> np.ndarray:
+    """Rotation matrices (..., 3, 3) from unit quaternions (..., 4) read as (x, y, z, w)."""
+    x, y, z, w = np.moveaxis(q, -1, 0)
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+    R = np.empty(q.shape[:-1] + (3, 3))
+    R[..., 0, 0] = x2 - y2 - z2 + w2
+    R[..., 0, 1] = 2.0 * (xy - zw)
+    R[..., 0, 2] = 2.0 * (xz + yw)
+    R[..., 1, 0] = 2.0 * (xy + zw)
+    R[..., 1, 1] = -x2 + y2 - z2 + w2
+    R[..., 1, 2] = 2.0 * (yz - xw)
+    R[..., 2, 0] = 2.0 * (xz - yw)
+    R[..., 2, 1] = 2.0 * (yz + xw)
+    R[..., 2, 2] = -x2 - y2 + z2 + w2
+    return R
+
+
+def rotation_about_axis(axis, angle) -> np.ndarray:
+    """Rotation matrices for right-handed turns of `angle` (...) radians about `axis` (..., 3)."""
     a = np.asarray(axis, dtype=np.float64)
-    n = np.linalg.norm(a)
-    if n == 0:
+    norm = np.sqrt(np.einsum("...i,...i->...", a, a))[..., None]
+    if np.any(norm == 0):
         raise ValueError("rotation axis must be nonzero")
-    x, y, z = a / n
-    K = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+    half = 0.5 * np.asarray(angle, dtype=np.float64)
+    xyz = np.sin(half)[..., None] * (a / norm)
+    q = np.empty(xyz.shape[:-1] + (4,))
+    q[..., :3] = xyz
+    q[..., 3] = np.cos(half)
+    return quaternion_matrix(q)

@@ -12,6 +12,9 @@ the pair's relative motion does not pin the point down (a single-axis
 joint, or no relative motion at all) the small singular directions are
 dropped and the minimum-norm solution is returned, so the reported
 point stays closest to both body origins.
+
+calibrate_pair measures a rigidly linked sensor pair: its origin-to-origin
+distances, and the scale from the tracks' units to meters.
 """
 from __future__ import annotations
 
@@ -23,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .capture import CaptureSession, write_csv
-from .errors import AllZeroError, DegenerateInputError
+from .capture import BodyTrack, CaptureSession, write_csv
+from .errors import AllZeroError, DegenerateInputError, LengthMismatchError
 
 DEFAULT_RANK_TOL = 1e-5
 NOISELESS_RANK_TOL = 1e-8  # recommended for synthetic, noise-free data
@@ -176,6 +179,40 @@ def solve_joint(
         singular_values=s,
         residual_per_frame=per_frame,
     )
+
+
+@dataclass(frozen=True)
+class PairCalibration:
+    """Per-frame origin-to-origin distances of a rigidly linked pair."""
+
+    mean_m: float
+    std_m: float
+    scale: float
+    distances: np.ndarray
+
+
+def calibrate_pair(
+    track_a: BodyTrack, track_b: BodyTrack, known_distance: Optional[float] = None
+) -> PairCalibration:
+    """Distance statistics between two sensor origins.
+
+    scale = known_distance / mean converts emitted units to meters;
+    without a known distance the scale reports 1.  A known distance must
+    be finite and positive, and the two tracks must be different bodies.
+    """
+    if track_a.body_id == track_b.body_id:
+        raise ValueError(f"body {track_a.body_id} given twice: the two bodies must differ")
+    if known_distance is not None and not 0.0 < known_distance < math.inf:
+        raise ValueError(f"known_distance must be finite and positive, got {known_distance!r}")
+    if len(track_a) != len(track_b):
+        raise LengthMismatchError(f"tracks cover {len(track_a)} and {len(track_b)} frames")
+    d = np.linalg.norm(track_a.translations - track_b.translations, axis=1)
+    mean = float(d.mean())
+    std = float(d.std(ddof=1)) if d.size > 1 else 0.0
+    if known_distance is not None and mean <= 0.0:
+        raise DegenerateInputError("mean sensor distance is zero")
+    scale = 1.0 if known_distance is None else float(known_distance / mean)
+    return PairCalibration(mean_m=mean, std_m=std, scale=scale, distances=d)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,9 @@ happen in a fixed order: root rotations, root translations, excitation
 per non-root body in id order, then noise per body in id order (axes,
 angles, translations).  Identical specs therefore produce identical
 sessions byte for byte.
+
+Rotations come from `rigid.quaternion_matrix` (Haar draws) and
+`rigid.rotation_about_axis` (hinges, cones and noise wobble, one stacked call each).
 """
 from __future__ import annotations
 
@@ -21,9 +24,9 @@ from typing import Optional
 import numpy as np
 
 from .capture import BodyTrack, CaptureSession, json_integer, json_number, read_json, write_json
-from .errors import DegenerateInputError, InvalidSpecError, LengthMismatchError
+from .errors import InvalidSpecError
 from .hierarchy import tree_order
-from .rigid import orthonormality_error, rotation_about_axis
+from .rigid import orthonormality_error, quaternion_matrix, rotation_about_axis
 from .skeleton import SkeletonModel, _chain_world
 from .solver import Classification, JointFit
 
@@ -44,31 +47,11 @@ def _as_vector(x, name: str) -> np.ndarray:
     return v
 
 
-def _unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.normal(size=(n, 3))
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    norms[norms < 1e-12] = 1.0
-    return v / norms
-
-
 def _uniform_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-uniform rotation matrices from normalized 4D normal deviates."""
     q = rng.normal(size=(n, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    from scipy.spatial.transform import Rotation  # see _rotvec_matrices
-
-    return Rotation.from_quat(q).as_matrix()
-
-
-def _rotvec_matrices(rotvecs: np.ndarray) -> np.ndarray:
-    """Rotation matrices from rotation vectors (axis times angle), (n, 3, 3).
-
-    scipy is imported on first use, not with the module: every CLI
-    process imports synth, and only synthesis needs scipy.
-    """
-    from scipy.spatial.transform import Rotation
-
-    return Rotation.from_rotvec(rotvecs).as_matrix()
+    return quaternion_matrix(q)
 
 
 @dataclass(frozen=True)
@@ -135,16 +118,13 @@ class Excitation:
             return mount @ self.rotations
         if self.kind == "hinge":
             span = self.max_angle if self.max_angle is not None else math.pi
-            unit = self.axis / np.linalg.norm(self.axis)
             angles = rng.uniform(-span, span, size=n)
-            spins = _rotvec_matrices(np.outer(angles, unit))
-            return mount @ spins
+            return mount @ rotation_about_axis(self.axis, angles)
         if self.max_angle is None:
             return mount @ _uniform_rotations(rng, n)
-        axes = _unit_vectors(rng, n)
+        axes = rng.normal(size=(n, 3))
         angles = rng.uniform(0.0, self.max_angle, size=n)
-        turns = _rotvec_matrices(axes * angles[:, None])
-        return mount @ turns
+        return mount @ rotation_about_axis(axes, angles)
 
 
 @dataclass(frozen=True)
@@ -244,6 +224,8 @@ class SynthSpec:
             raise InvalidSpecError(f"spec: {exc}") from exc
         if self.frame_count < 1:
             raise InvalidSpecError("frame_count must be at least 1")
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 < self.unit_distortion < math.inf:
             raise InvalidSpecError("unit_distortion must be finite and positive")
         if self.sample_interval is not None and not 0.0 < self.sample_interval < math.inf:
@@ -335,10 +317,9 @@ def generate(spec: SynthSpec) -> tuple[CaptureSession, SkeletonModel]:
     sigma_t, sigma_r = spec.noise.sigma_t, spec.noise.sigma_r
     for b in sorted(world_R):
         if sigma_r > 0.0:
-            axes = _unit_vectors(rng, n)
+            axes = rng.normal(size=(n, 3))
             angles = np.abs(rng.normal(0.0, sigma_r, size=n))
-            wobble = _rotvec_matrices(axes * angles[:, None])
-            world_R[b] = wobble @ world_R[b]
+            world_R[b] = rotation_about_axis(axes, angles) @ world_R[b]
         if sigma_t > 0.0:
             world_t[b] = world_t[b] + rng.normal(0.0, sigma_t, size=(n, 3))
 
@@ -348,47 +329,6 @@ def generate(spec: SynthSpec) -> tuple[CaptureSession, SkeletonModel]:
     )
     session = CaptureSession(tracks, n)
     return session, truth
-
-
-@dataclass(frozen=True)
-class PairCalibration:
-    """Per-frame origin-to-origin distances of a rigidly linked pair."""
-
-    mean_m: float
-    std_m: float
-    scale: float
-    distances: np.ndarray
-
-
-def calibrate_pair(
-    track_a: BodyTrack,
-    track_b: BodyTrack,
-    known_distance: Optional[float] = None,
-) -> PairCalibration:
-    """Distance statistics between two sensor origins.
-
-    scale = known_distance / mean converts emitted units to meters;
-    without a known distance the scale reports 1.  A known distance must
-    be finite and positive.
-    """
-    if known_distance is not None and not 0.0 < known_distance < math.inf:
-        raise ValueError(
-            f"known_distance must be finite and positive, got {known_distance!r}"
-        )
-    if len(track_a) != len(track_b):
-        raise LengthMismatchError(
-            f"tracks cover {len(track_a)} and {len(track_b)} frames"
-        )
-    d = np.linalg.norm(track_a.translations - track_b.translations, axis=1)
-    mean = float(d.mean())
-    std = float(d.std(ddof=1)) if d.size > 1 else 0.0
-    if known_distance is None:
-        scale = 1.0
-    else:
-        if mean <= 0.0:
-            raise DegenerateInputError("mean sensor distance is zero")
-        scale = float(known_distance / mean)
-    return PairCalibration(mean_m=mean, std_m=std, scale=scale, distances=d)
 
 
 def rigid_pair_spec(

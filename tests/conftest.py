@@ -75,9 +75,7 @@ def manual_pair_session(
 
 def hinge_relative_rotations(axis, mount, angles) -> np.ndarray:
     """Child-to-parent rotations spinning about a fixed child-frame axis."""
-    axis = np.asarray(axis, dtype=np.float64)
-    axis = axis / np.linalg.norm(axis)
-    return np.stack([mount @ rotation_about_axis(axis, a) for a in angles])
+    return mount @ rotation_about_axis(axis, np.asarray(angles, dtype=np.float64))
 
 
 @pytest.fixture(scope="session")

@@ -10,12 +10,11 @@ import numpy as np
 
 from skelfit.hierarchy import FitMatrix, infer_hierarchy
 from skelfit.skeleton import fit_skeleton, joint_gaps, limb_length, reconstruct
-from skelfit.solver import Classification, residual_histogram, solve_joint
+from skelfit.solver import Classification, calibrate_pair, residual_histogram, solve_joint
 from skelfit.synth import (
     Excitation,
     SynthBody,
     SynthSpec,
-    calibrate_pair,
     figure16_spec,
     generate,
     linkage_spec,

@@ -930,6 +930,19 @@ class TestExitCodes:
         assert main(["synth", "--spec", str(spec_path), "--out-dir", str(tmp_path)]) == 3
         capsys.readouterr()
 
+    def test_negative_seed(self, tmp_path, capsys):
+        args = ["synth", "--preset", "rigid-pair", "--out-dir", str(tmp_path / "o"), "--seed", "-1"]
+        assert main(args) == 3
+        assert "seed must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--known-distance", "0.565"]])
+    def test_calibrate_one_body_twice(self, tmp_path, capsys, extra):
+        session, _ = generate(rigid_pair_spec(frames=10, seed=98))
+        path = tmp_path / "pair.csv"
+        write_session(path, session)
+        assert main(["calibrate-pair", str(path), "0", "0", *extra]) == 3
+        assert "must differ" in capsys.readouterr().err
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -1127,17 +1140,52 @@ def test_written_bytes(tmp_path, monkeypatch, capsys):
         assert (tmp_path / name).read_bytes() == expected, name
 
 
-def test_cli_import_leaves_scipy_unloaded():
+SCIPY_HIDDEN_PROBE = """
+import sys
+
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import numpy as np
+
+from skelfit.capture import write_session
+from skelfit.cli import main
+from skelfit.rigid import rotation_about_axis
+from skelfit.synth import PRESETS, Excitation, NoiseSpec, RootMotion, SynthBody, SynthSpec, generate
+
+out = sys.argv[1]
+for preset in PRESETS:
+    assert main(["synth", "--preset", preset, "--frames", "100", "--out-dir", f"{out}/{preset}"]) == 0
+mount = rotation_about_axis(np.array([1.0, 1.0, 0.0]), 0.6)
+spec = SynthSpec(
+    bodies=(
+        SynthBody(0, None),
+        SynthBody(1, 0, l=(0.3, 0, 0), excitation=Excitation(kind="hinge", axis=(0, 0, 1))),
+        SynthBody(2, 1, c=(0.1, 0, 0), excitation=Excitation(kind="spherical", max_angle=0.8)),
+        SynthBody(3, 0, l=(0, 0, 0.25), excitation=Excitation(kind="rigid", mount=mount)),
+    ),
+    frame_count=300,
+    seed=5,
+    root_motion=RootMotion(kind="random", rotate=True),
+    noise=NoiseSpec(sigma_t=0.001, sigma_r=0.003),
+)
+session, _ = generate(spec)
+write_session(f"{out}/spec.csv", session)
+assert main(["build-skeleton", f"{out}/spec.csv", "--output", f"{out}/skel.json"]) == 0
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    """With scipy unimportable: synth on every preset, generate on a spec with a
+    hinge, a bounded cone, a rigid mount, a tumbling root and both noise sigmas,
+    and build-skeleton on its session."""
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = "import sys, skelfit.cli; print('scipy' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_HIDDEN_PROBE, str(tmp_path)],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
-        check=True,
+        timeout=120,
     )
-    assert out.stdout.strip() == "False"
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_steps_with_helper_processes_warn_nothing(tmp_path):

@@ -1,4 +1,4 @@
-"""Rotation rules and rotation_about_axis: hand cases and closed forms."""
+"""Rotation rules and the rotation builders: hand cases, closed forms and a scipy oracle."""
 import warnings
 
 import numpy as np
@@ -9,6 +9,7 @@ from skelfit.rigid import (
     is_non_finite,
     is_singular,
     orthonormality_error,
+    quaternion_matrix,
     rotation_about_axis,
 )
 
@@ -75,28 +76,75 @@ class TestValidation:
         assert is_non_finite(Rs, ts).tolist() == [False, True, True]
 
 
+def one_and_stacked(axis, angle) -> list:
+    """The turn from a one-matrix call, then each frame of one stacked call
+    (the axis at unit and at triple length, so a stack need not be unit)."""
+    axes = np.stack([axis, 3.0 * np.asarray(axis)])
+    return [rotation_about_axis(axis, angle), *rotation_about_axis(axes, np.full(2, angle))]
+
+
 class TestRotationAboutAxis:
     def test_half_turn_about_z(self):
-        R = rotation_about_axis(Z, np.pi)
-        assert np.allclose(R @ [1.0, 0.0, 0.0], [-1, 0, 0], atol=1e-15)
-        assert np.allclose(R, np.diag([-1.0, -1.0, 1.0]), atol=1e-15)
+        for R in one_and_stacked(Z, np.pi):
+            assert np.allclose(R @ [1.0, 0.0, 0.0], [-1, 0, 0], atol=1e-15)
+            assert np.allclose(R, np.diag([-1.0, -1.0, 1.0]), atol=1e-15)
 
     def test_axis_is_fixed(self):
         rng = np.random.default_rng(31)
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        R = rotation_about_axis(axis, 1.3)
-        assert np.allclose(R @ axis, axis, atol=1e-14)
+        for R in one_and_stacked(axis, 1.3):
+            assert np.allclose(R @ axis, axis, atol=1e-14)
 
     def test_trace_matches_angle(self):
         theta = 0.77
-        R = rotation_about_axis(np.array([0.0, 1.0, 0.0]), theta)
-        assert np.isclose(np.trace(R), 1.0 + 2.0 * np.cos(theta), atol=1e-14)
+        for R in one_and_stacked(np.array([0.0, 1.0, 0.0]), theta):
+            assert np.isclose(np.trace(R), 1.0 + 2.0 * np.cos(theta), atol=1e-14)
 
     def test_proper_rotation(self):
-        R = rotation_about_axis(np.array([1.0, 2.0, -1.0]) / np.sqrt(6.0), 2.5)
-        assert orthonormality_error(R) < 1e-14
-        assert np.isclose(np.linalg.det(R), 1.0, atol=1e-14)
+        for R in one_and_stacked(np.array([1.0, 2.0, -1.0]) / np.sqrt(6.0), 2.5):
+            assert orthonormality_error(R) < 1e-14
+            assert np.isclose(np.linalg.det(R), 1.0, atol=1e-14)
+
+    def test_zero_axis_rejected(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            rotation_about_axis(np.zeros(3), 0.5)
+        with pytest.raises(ValueError, match="nonzero"):
+            rotation_about_axis(np.stack([Z, np.zeros(3)]), np.array([0.5, 0.5]))
+
+
+EPS = np.finfo(np.float64).eps
+ORACLE_N = 100_000
+
+
+class TestScipyOracle:
+    """quaternion_matrix and the stacked rotation_about_axis against scipy's
+    Rotation on 10^5 random inputs per family.  The bounds:
+    every entry within 8 eps of scipy's, the worst orthonormality_error of a
+    family within 4 eps of scipy's worst, and det > 0 everywhere."""
+
+    def check(self, mine, ref):
+        assert np.abs(mine - ref).max() <= 8 * EPS
+        assert orthonormality_error(mine).max() <= orthonormality_error(ref).max() + 4 * EPS
+        assert (np.linalg.det(mine) > 0).all()
+
+    def test_haar_quaternions(self):
+        Rotation = pytest.importorskip("scipy.spatial.transform").Rotation
+        q = np.random.default_rng(41).normal(size=(ORACLE_N, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        self.check(quaternion_matrix(q), Rotation.from_quat(q).as_matrix())
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(-np.pi, np.pi), (0.0, 1e-3), (0.0, 1e-8)], ids=["full", "small", "tiny"]
+    )
+    def test_axis_angle(self, lo, hi):
+        Rotation = pytest.importorskip("scipy.spatial.transform").Rotation
+        rng = np.random.default_rng(42)
+        axes = rng.normal(size=(ORACLE_N, 3))
+        angles = rng.uniform(lo, hi, size=ORACLE_N)
+        unit = axes / np.linalg.norm(axes, axis=1, keepdims=True)
+        ref = Rotation.from_rotvec(unit * angles[:, None]).as_matrix()
+        self.check(rotation_about_axis(axes, angles), ref)
 
 
 def test_orthonormality_error_scale():

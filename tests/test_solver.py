@@ -1,4 +1,4 @@
-"""Per-pair joint solve: exact recovery, rank handling, residual stats."""
+"""Per-pair joint solve: exact recovery, rank handling, residual stats; pair calibration."""
 import math
 
 import numpy as np
@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skelfit.capture import BodyTrack, CaptureSession
-from skelfit.errors import AllZeroError, DegenerateInputError
+from skelfit.errors import AllZeroError, DegenerateInputError, LengthMismatchError
 from skelfit.rigid import rotation_about_axis
 from skelfit.solver import (
     MAX_HISTOGRAM_BINS,
     NOISELESS_RANK_TOL,
     Classification,
     assemble_system,
+    calibrate_pair,
     classify_rank,
     residual_histogram,
     residual_summary,
@@ -21,6 +22,7 @@ from skelfit.solver import (
     write_histogram_csv,
     write_residual_csv,
 )
+from skelfit.synth import generate, rigid_pair_spec
 
 from conftest import haar_rotations, hinge_relative_rotations, line_angle, manual_pair_session
 
@@ -513,3 +515,45 @@ class TestResidualReports:
         assert len(lines) == 11
         total = sum(int(line.split(",")[2]) for line in lines[1:])
         assert total == 200
+
+
+class TestCalibratePair:
+    def test_noiseless_distance_is_exact(self):
+        session, _ = generate(rigid_pair_spec(frames=300, seed=76))
+        cal = calibrate_pair(session.track(0), session.track(1))
+        assert cal.mean_m == pytest.approx(0.565, abs=1e-12)
+        assert cal.std_m < 1e-12
+        assert cal.scale == 1.0
+        assert cal.distances.shape == (300,)
+
+    def test_known_distance_sets_scale(self):
+        session, _ = generate(
+            rigid_pair_spec(frames=300, seed=77, unit_distortion=0.94)
+        )
+        cal = calibrate_pair(session.track(0), session.track(1), known_distance=0.565)
+        assert cal.mean_m == pytest.approx(0.565 / 0.94, rel=1e-12)
+        assert cal.scale == pytest.approx(0.94, rel=1e-12)
+
+    def test_noise_widens_spread(self):
+        session, _ = generate(rigid_pair_spec(frames=2000, seed=78, sigma_t=0.007))
+        cal = calibrate_pair(session.track(0), session.track(1))
+        assert cal.std_m > 0.005
+        assert cal.mean_m == pytest.approx(0.565, abs=0.01)
+
+    @pytest.mark.parametrize("known", [math.nan, math.inf, 0.0, -0.5])
+    def test_known_distance_must_be_finite_positive(self, known):
+        session, _ = generate(rigid_pair_spec(frames=10, seed=79))
+        with pytest.raises(ValueError, match="known_distance"):
+            calibrate_pair(session.track(0), session.track(1), known_distance=known)
+
+    @pytest.mark.parametrize("known", [None, 0.565])
+    def test_one_body_twice_refused(self, known):
+        session, _ = generate(rigid_pair_spec(frames=10, seed=79))
+        with pytest.raises(ValueError, match="must differ"):
+            calibrate_pair(session.track(0), session.track(0), known_distance=known)
+
+    def test_length_mismatch(self):
+        session, _ = generate(rigid_pair_spec(frames=10, seed=79))
+        short, _ = generate(rigid_pair_spec(frames=5, seed=79))
+        with pytest.raises(LengthMismatchError):
+            calibrate_pair(session.track(0), short.track(1))

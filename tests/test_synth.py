@@ -1,4 +1,4 @@
-"""Synthetic capture generation and sensor-pair calibration."""
+"""Synthetic capture generation: specs, excitations, presets and serialization."""
 import copy
 import math
 from dataclasses import replace
@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from skelfit.errors import InvalidSpecError, LengthMismatchError
+from skelfit.errors import InvalidSpecError
 from skelfit.rigid import orthonormality_error, rotation_about_axis
 from skelfit.solver import NOISELESS_RANK_TOL, Classification, solve_joint
 from skelfit.synth import (
@@ -17,7 +17,6 @@ from skelfit.synth import (
     RootMotion,
     SynthBody,
     SynthSpec,
-    calibrate_pair,
     dict_to_spec,
     figure16_spec,
     generate,
@@ -99,6 +98,10 @@ class TestValidate:
     def test_frame_count_positive(self):
         with pytest.raises(InvalidSpecError, match="frame_count"):
             SynthSpec(bodies=(self.body(0, None),), frame_count=0)
+
+    def test_seed_nonnegative(self):
+        with pytest.raises(InvalidSpecError, match="seed"):
+            SynthSpec(bodies=(self.body(0, None),), frame_count=5, seed=-1)
 
     def test_unit_distortion_positive(self):
         with pytest.raises(InvalidSpecError, match="unit_distortion"):
@@ -387,42 +390,6 @@ class TestGenerate:
         for i in range(session.body_count):
             for k in range(0, 50, 17):
                 assert orthonormality_error(session.track(i).rotations[k]) < 1e-9
-
-
-class TestCalibratePair:
-    def test_noiseless_distance_is_exact(self):
-        session, _ = generate(rigid_pair_spec(frames=300, seed=76))
-        cal = calibrate_pair(session.track(0), session.track(1))
-        assert cal.mean_m == pytest.approx(0.565, abs=1e-12)
-        assert cal.std_m < 1e-12
-        assert cal.scale == 1.0
-        assert cal.distances.shape == (300,)
-
-    def test_known_distance_sets_scale(self):
-        session, _ = generate(
-            rigid_pair_spec(frames=300, seed=77, unit_distortion=0.94)
-        )
-        cal = calibrate_pair(session.track(0), session.track(1), known_distance=0.565)
-        assert cal.mean_m == pytest.approx(0.565 / 0.94, rel=1e-12)
-        assert cal.scale == pytest.approx(0.94, rel=1e-12)
-
-    def test_noise_widens_spread(self):
-        session, _ = generate(rigid_pair_spec(frames=2000, seed=78, sigma_t=0.007))
-        cal = calibrate_pair(session.track(0), session.track(1))
-        assert cal.std_m > 0.005
-        assert cal.mean_m == pytest.approx(0.565, abs=0.01)
-
-    @pytest.mark.parametrize("known", [math.nan, math.inf, 0.0, -0.5])
-    def test_known_distance_must_be_finite_positive(self, known):
-        session, _ = generate(rigid_pair_spec(frames=10, seed=79))
-        with pytest.raises(ValueError, match="known_distance"):
-            calibrate_pair(session.track(0), session.track(1), known_distance=known)
-
-    def test_length_mismatch(self):
-        session, _ = generate(rigid_pair_spec(frames=10, seed=79))
-        short, _ = generate(rigid_pair_spec(frames=5, seed=79))
-        with pytest.raises(LengthMismatchError):
-            calibrate_pair(session.track(0), short.track(1))
 
 
 class TestSpecSerialization:
