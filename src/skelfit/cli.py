@@ -67,7 +67,14 @@ def _fmt_vec(v) -> str:
 
 def _load(args) -> CaptureSession:
     # the small sidecar first, so a bad one fails before the session is parsed
-    labels = load_labels(args.labels) if args.labels else None
+    return _load_session(args, _read_labels(args))
+
+
+def _read_labels(args) -> Optional[dict[int, str]]:
+    return load_labels(args.labels) if args.labels else None
+
+
+def _load_session(args, labels: Optional[dict[int, str]]) -> CaptureSession:
     session = load_session(args.session, unit_scale=args.unit_scale)
     if labels is not None:
         session = with_labels(session, labels)
@@ -191,8 +198,12 @@ def cmd_build_skeleton(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    session = _load(args)
+    # the small files (the --labels sidecar, then the skeleton JSON) first, so a
+    # bad one fails before the session is parsed: when the skeleton and the
+    # session are both bad, the skeleton's error is the one reported
+    labels = _read_labels(args)
     model = load_skeleton(args.skeleton)
+    session = _load_session(args, labels)
     before = joint_gaps(model, session)
     rebuilt = reconstruct(model, session, orthonormalize=args.orthonormalize)
     after = joint_gaps(model, rebuilt)

@@ -7,8 +7,12 @@ placements as stacked (n, 3, 3) and (n, 3) arrays.
 
 The validity rules for rotational components live here once, for one
 matrix or a stack of frames: `is_non_finite`, `is_singular` and
-`orthonormality_error`.  `quaternion_matrix` builds every rotation synth
-draws; `rotation_about_axis` feeds it (sin(angle/2) * axis, cos(angle/2)).
+`orthonormality_error`.  `cofactors` is the one 3x3 determinant and
+inverse rule: `is_singular`, the relative rotations of playback and its
+Newton polar step take their det and X^-T from it, in closed form, with
+no per-frame LAPACK call.  `quaternion_matrix` builds every rotation
+synth draws; `rotation_about_axis` feeds it (sin(angle/2) * axis,
+cos(angle/2)).
 """
 from __future__ import annotations
 
@@ -34,15 +38,49 @@ def is_singular(R: np.ndarray) -> np.ndarray:
     """
     _, exp = np.frexp(np.abs(R).max(axis=(-2, -1)))
     R = np.ldexp(R, -exp[..., None, None])
-    dets = np.linalg.det(R)
+    _, dets = cofactors(R)
     norms = np.sqrt((R**2).sum(axis=(-2, -1)))
     return np.abs(dets) <= DET_RTOL * norms**3
 
 
 def orthonormality_error(R: np.ndarray) -> np.ndarray:
     """Max-norm deviation of R^T R from the identity, per frame of (..., 3, 3)."""
-    gram = np.einsum("...ja,...jb->...ab", R, R)
-    return np.abs(gram - np.eye(3)).max(axis=(-2, -1))
+    a, b, c = R[..., 0], R[..., 1], R[..., 2]
+    # the six distinct entries of the symmetric R^T R: columns dotted pairwise
+    diagonal = (_dot(a, a) - 1.0, _dot(b, b) - 1.0, _dot(c, c) - 1.0)
+    off_diagonal = (_dot(a, b), _dot(a, c), _dot(b, c))
+    return np.maximum.reduce([np.abs(g) for g in diagonal + off_diagonal])
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+
+
+def cofactors(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cof, det) per frame of X (..., 3, 3), so that X^-T = cof / det.
+
+    With columns a, b, c of X, cof has columns b x c, c x a and a x b,
+    and det = a . (b x c).  Entries are written elementwise, one
+    expression each, so a stack of n frames costs a few dozen array
+    operations of length n.  X is not rescaled here: a caller whose
+    entries may be far from 1 scales each frame by a power of two first
+    (see `is_singular`), which the products keep exact.
+    """
+    x00, x01, x02 = X[..., 0, 0], X[..., 0, 1], X[..., 0, 2]
+    x10, x11, x12 = X[..., 1, 0], X[..., 1, 1], X[..., 1, 2]
+    x20, x21, x22 = X[..., 2, 0], X[..., 2, 1], X[..., 2, 2]
+    cof = np.empty(X.shape)
+    cof[..., 0, 0] = x11 * x22 - x21 * x12
+    cof[..., 1, 0] = x21 * x02 - x01 * x22
+    cof[..., 2, 0] = x01 * x12 - x11 * x02
+    cof[..., 0, 1] = x12 * x20 - x22 * x10
+    cof[..., 1, 1] = x22 * x00 - x02 * x20
+    cof[..., 2, 1] = x02 * x10 - x12 * x00
+    cof[..., 0, 2] = x10 * x21 - x20 * x11
+    cof[..., 1, 2] = x20 * x01 - x00 * x21
+    cof[..., 2, 2] = x00 * x11 - x10 * x01
+    det = x00 * cof[..., 0, 0] + x10 * cof[..., 1, 0] + x20 * cof[..., 2, 0]
+    return cof, det
 
 
 def quaternion_matrix(q: np.ndarray) -> np.ndarray:

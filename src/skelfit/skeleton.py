@@ -16,6 +16,7 @@ import numpy as np
 from .capture import BodyTrack, CaptureSession, json_integer, json_number, read_json, write_json
 from .errors import MissingRotationError, NotAdjacentError, ParseError
 from .hierarchy import build_fit_matrix, infer_hierarchy, tree_order
+from .rigid import cofactors
 from .solver import DEFAULT_RANK_TOL, Classification, JointFit, solve_joint
 
 
@@ -185,9 +186,21 @@ def forward_kinematics(
 
 
 def _relative_rotations(session: CaptureSession, child: int, parent: int) -> np.ndarray:
-    Rc = session.track(child).rotations
+    """Rp^-1 Rc per frame, as cof(Rp)^T Rc / det(Rp) (rigid.cofactors).
+
+    Each frame of Rp and of Rc is first scaled by a power of two that
+    brings its largest entry into [0.5, 1), as in rigid.is_singular, and
+    the product is scaled back.  A track holds no singular frame, so the
+    det divides safely, and a far-scaled frame neither overflows nor
+    warns unless its result does.
+    """
     Rp = session.track(parent).rotations
-    return np.linalg.solve(Rp, Rc)
+    Rc = session.track(child).rotations
+    _, e_p = np.frexp(np.abs(Rp).max(axis=(-2, -1)))
+    _, e_c = np.frexp(np.abs(Rc).max(axis=(-2, -1)))
+    cof, det = cofactors(np.ldexp(Rp, -e_p[:, None, None]))
+    rel = np.swapaxes(cof, -1, -2) @ np.ldexp(Rc, -e_c[:, None, None]) / det[:, None, None]
+    return np.ldexp(rel, (e_c - e_p)[:, None, None])
 
 
 # A frame leaves the Newton iteration once a step moves no entry by more
@@ -197,25 +210,13 @@ _POLAR_STEPS = 6
 _POLAR_TOL = 8 * np.finfo(np.float64).eps
 
 
-def _cofactors(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cof, det) per frame of X (n, 3, 3), so that X^-T = cof / det.
-
-    With columns a, b, c of X, cof has columns b x c, c x a and a x b,
-    and det = a . (b x c).
-    """
-    a, b, c = X[..., 0], X[..., 1], X[..., 2]
-    bc = np.cross(b, c)
-    cof = np.stack((bc, np.cross(c, a), np.cross(a, b)), axis=-1)
-    return cof, np.einsum("ni,ni->n", a, bc)
-
-
 def _orthonormalize(R: np.ndarray) -> np.ndarray:
     """Nearest proper rotation per frame of R (n, 3, 3): its polar factor.
 
     Runs Higham's Newton iteration for the polar factor (N. J. Higham,
     "Computing the polar decomposition - with applications", SIAM J. Sci.
     Stat. Comput. 7, 1986), X <- (g X + X^-T / g) / 2, batched, with
-    X^-T in closed form (`_cofactors`).  The first step uses the
+    X^-T in closed form (`rigid.cofactors`).  The first step uses the
     determinant scaling g = det(X)^(-1/3); later steps use g = 1.  Each
     frame is first scaled by a power of two that brings its largest
     entry into [0.5, 1), as in rigid.is_singular, so a far-scaled or
@@ -230,7 +231,7 @@ def _orthonormalize(R: np.ndarray) -> np.ndarray:
     """
     _, exp = np.frexp(np.abs(R).max(axis=(-2, -1)))
     X = np.ldexp(R, -exp[:, None, None])
-    cof, det = _cofactors(X)
+    cof, det = cofactors(X)
     out = np.empty_like(X)
     by_newton = np.zeros(len(X), dtype=bool)
     todo = np.flatnonzero(det > 0)
@@ -249,7 +250,7 @@ def _orthonormalize(R: np.ndarray) -> np.ndarray:
         todo, X = todo[keep], X_next[keep]
         if not todo.size:
             break
-        cof, det = _cofactors(X)
+        cof, det = cofactors(X)
         gamma = 1.0
     if not by_newton.all():
         out[~by_newton] = _orthonormalize_svd(R[~by_newton])

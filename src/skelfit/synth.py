@@ -26,7 +26,7 @@ import numpy as np
 from .capture import BodyTrack, CaptureSession, json_integer, json_number, read_json, write_json
 from .errors import InvalidSpecError
 from .hierarchy import tree_order
-from .rigid import orthonormality_error, quaternion_matrix, rotation_about_axis
+from .rigid import cofactors, orthonormality_error, quaternion_matrix, rotation_about_axis
 from .skeleton import SkeletonModel, _chain_world
 from .solver import Classification, JointFit
 
@@ -88,7 +88,7 @@ class Excitation:
                 raise InvalidSpecError("mount must be a 3x3 rotation")
             if not np.isfinite(mount).all():
                 raise InvalidSpecError("mount must be finite")
-            if orthonormality_error(mount) > 1e-6 or np.linalg.det(mount) < 0:
+            if orthonormality_error(mount) > 1e-6 or cofactors(mount)[1] < 0:
                 raise InvalidSpecError("mount must be a proper rotation")
             mount.setflags(write=False)
             object.__setattr__(self, "mount", mount)

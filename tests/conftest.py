@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from skelfit.capture import BodyTrack, CaptureSession
-from skelfit.rigid import rotation_about_axis
+from skelfit.rigid import DET_RTOL, rotation_about_axis
 
 
 def haar_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -26,6 +26,30 @@ def haar_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
         ],
         axis=1,
     )
+
+
+def cofactor_families(
+    rng: np.random.Generator, n: int, smallest: float = DET_RTOL
+) -> dict[str, np.ndarray]:
+    """Stacks of n invertible 3x3 frames for the closed-form det/inverse oracles.
+
+    Haar rotations; rotations perturbed by 1e-12 to 0.3; near rotations
+    scaled by 2^60 and 2^-60; spectra (1, [0.5, 1], s) between Haar
+    rotations with s log-uniform in [smallest, 1]; and reflections.
+    """
+    Q = haar_rotations(rng, n)
+    families = {"rotations": Q}
+    for size in (1e-12, 1e-6, 1e-3, 0.3):
+        families[f"perturbed {size:g}"] = Q + rng.uniform(-size, size, Q.shape)
+    near = Q + rng.uniform(-1e-3, 1e-3, Q.shape)
+    families["scaled 2^60"] = np.ldexp(near, 60)
+    families["scaled 2^-60"] = np.ldexp(near, -60)
+    spectrum = np.stack(
+        [np.ones(n), rng.uniform(0.5, 1.0, n), smallest ** rng.uniform(0.0, 1.0, n)], axis=1
+    )
+    families["near singular"] = (haar_rotations(rng, n) * spectrum[:, None, :]) @ Q
+    families["reflections"] = Q * np.array([1.0, 1.0, -1.0])
+    return families
 
 
 def unit_vector(rng: np.random.Generator) -> np.ndarray:

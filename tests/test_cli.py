@@ -713,6 +713,24 @@ class TestExitCodes:
         with pytest.raises(ChildProcessError):  # the helper was reaped
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("text, code", [(None, 4), ("{", 2)], ids=["missing", "malformed"])
+    def test_bad_skeleton_fails_before_the_session_is_read(
+        self, tmp_path, capsys, monkeypatch, text, code
+    ):
+        def no_parse(*args, **kwargs):
+            raise AssertionError("session parsed before the skeleton was read")
+
+        monkeypatch.setattr(cli, "load_session", no_parse)
+        skel_path = tmp_path / "skeleton.json"
+        if text is not None:
+            skel_path.write_text(text)
+        # the session is missing too: the skeleton's error is the one reported
+        missing = tmp_path / "nope.csv"
+        args = ["reconstruct", str(missing), str(skel_path), str(tmp_path / "out.csv")]
+        assert main(args) == code
+        err = capsys.readouterr().err
+        assert str(skel_path) in err and str(missing) not in err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve-joint", str(tmp_path / "nope.csv"), "1", "0"]) == 4
         capsys.readouterr()

@@ -1,4 +1,5 @@
-"""Rotation rules and the rotation builders: hand cases, closed forms and a scipy oracle."""
+"""Rotation rules and the rotation builders: hand cases, closed forms, and oracles
+against numpy's LAPACK det and inverse and against scipy's Rotation."""
 import warnings
 
 import numpy as np
@@ -6,12 +7,15 @@ import pytest
 
 from skelfit.rigid import (
     DET_RTOL,
+    cofactors,
     is_non_finite,
     is_singular,
     orthonormality_error,
     quaternion_matrix,
     rotation_about_axis,
 )
+
+from conftest import cofactor_families, haar_rotations
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -145,6 +149,79 @@ class TestScipyOracle:
         unit = axes / np.linalg.norm(axes, axis=1, keepdims=True)
         ref = Rotation.from_rotvec(unit * angles[:, None]).as_matrix()
         self.check(rotation_about_axis(axes, angles), ref)
+
+
+def frobenius(R: np.ndarray) -> np.ndarray:
+    return np.sqrt((R**2).sum(axis=(-2, -1)))
+
+
+def lu_singular(R: np.ndarray) -> np.ndarray:
+    """is_singular's rule with numpy's LU det on the unscaled frames."""
+    return np.abs(np.linalg.det(R)) <= DET_RTOL * frobenius(R) ** 3
+
+
+FAMILIES = cofactor_families(np.random.default_rng(51), 20_000)
+
+
+@pytest.mark.filterwarnings("error")
+class TestCofactorsOracle:
+    """cofactors against numpy's LAPACK det and inverse, and is_singular's
+    decisions against the LU-det rule, on the families of
+    conftest.cofactor_families (2 * 10^4 frames each)."""
+
+    def test_one_matrix_and_a_stack(self):
+        X = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 1.0]])
+        cof, det = cofactors(X)
+        assert det == 7.0
+        assert np.array_equal(cof.T / det @ X, np.eye(3))
+        stack_cof, stack_det = cofactors(np.stack([X, np.eye(3)]))
+        assert np.array_equal(stack_cof[0], cof) and np.array_equal(stack_det, [7.0, 1.0])
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_det_matches_lapack(self, family):
+        # np.linalg.det returns sign * exp(log|det|), so its own error grows
+        # with |log|det||: about 20 eps ||R||_F^3 on the 2^60 stacks.  The
+        # bound adds that term; the cofactor det measured at most 0.39 eps ||R||_F^3
+        # against it beyond the term.
+        R = FAMILIES[family]
+        ref = np.linalg.det(R)
+        _, det = cofactors(R)
+        bound = 2 * EPS * (frobenius(R) ** 3 + np.abs(np.log(np.abs(ref)) * ref))
+        assert (np.abs(det - ref) <= bound).all()
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_inverse_matches_lapack(self, family):
+        # measured at most 2.7 cond eps max|inv| per frame
+        R = FAMILIES[family]
+        ref = np.linalg.inv(R)
+        cof, det = cofactors(R)
+        inv = np.swapaxes(cof, -1, -2) / det[:, None, None]
+        bound = 8 * np.linalg.cond(R) * EPS * np.abs(ref).max(axis=(-2, -1))
+        assert (np.abs(inv - ref).max(axis=(-2, -1)) <= bound).all()
+
+    def test_singular_decisions_match_the_lu_rule_outside_a_band(self):
+        # The two dets of a frame lie within 0.39 eps ||R||_F^3 of each other
+        # (test_det_matches_lapack), so near the threshold they differ by less
+        # than a relative eps / DET_RTOL (2.2e-4) of DET_RTOL ||R||_F^3, and
+        # decisions may differ only in that band.  The frames here sit within
+        # a relative 0.7% of the threshold, scaled by up to 2^+-60: with seed
+        # 52, 6430 of 200 000 fall in the band and 84 of those differ, the
+        # furthest at 2.5e-5 from the threshold.
+        rng = np.random.default_rng(52)
+        k = 200_000
+        middle = rng.uniform(0.5, 1.0, k)
+        ratio = 10.0 ** rng.uniform(-0.003, 0.003, k)
+        smallest = DET_RTOL * (1.0 + middle**2) ** 1.5 / middle * ratio
+        spectrum = np.stack([np.ones(k), middle, smallest], axis=1)
+        R = (haar_rotations(rng, k) * spectrum[:, None, :]) @ haar_rotations(rng, k)
+        R = np.ldexp(R, rng.integers(-60, 60, size=k)[:, None, None])
+        ref_ratio = np.abs(np.linalg.det(R)) / (DET_RTOL * frobenius(R) ** 3)
+        in_band = np.abs(ref_ratio - 1.0) <= EPS / DET_RTOL
+        differ = is_singular(R) != lu_singular(R)
+        assert not differ[~in_band].any()
+        assert 0 < differ.sum() <= in_band.sum() < k // 20
+        for family, R in FAMILIES.items():
+            assert np.array_equal(is_singular(R), lu_singular(R)), family
 
 
 def test_orthonormality_error_scale():
