@@ -768,6 +768,13 @@ def write_labels(path, labels: dict[int, str]):
 
 
 def with_labels(session: CaptureSession, labels: dict[int, str]) -> CaptureSession:
+    """The session with the given labels; a body the session lacks raises ValueError."""
+    m = session.body_count
+    for body in sorted(labels):
+        if not 0 <= body < m:
+            raise ValueError(
+                f"label {labels[body]!r} names body {body}, not in the session (bodies 0..{m - 1})"
+            )
     bodies = tuple(
         BodyTrack(b.body_id, b.rotations, b.translations, labels.get(b.body_id, b.label))
         for b in session.bodies

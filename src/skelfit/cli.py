@@ -129,17 +129,24 @@ def _write_histogram(path, fit, **binning):
 
 
 def cmd_solve_joint(args) -> int:
+    for flag, value in (("--bins", args.bins), ("--bin-width", args.bin_width)):
+        if value is not None and not args.histogram:
+            raise UsageError(f"argument {flag}: not allowed without argument --histogram")
     session = _load(args)
     child = session.resolve_body(args.child)
     parent = session.resolve_body(args.parent)
     fit = solve_joint(session, child, parent, rank_tol=args.rank_tol)
     _print_fit(session, fit)
+    summary = residual_summary(fit)
+    print(f"min_m: {_fmt(summary.min)}")
+    print(f"max_m: {_fmt(summary.max)}")
+    print(f"mean_m: {_fmt(summary.mean)}")
     if args.output:
         write_json(args.output, _fit_report(session, fit))
     if args.residuals:
         write_residual_csv(args.residuals, fit)
     if args.histogram:
-        _write_histogram(args.histogram, fit, bin_width=args.bin_width)
+        _write_histogram(args.histogram, fit, bin_width=args.bin_width, bins=args.bins or 30)
     return 0
 
 
@@ -271,25 +278,6 @@ def cmd_calibrate_pair(args) -> int:
     return 0
 
 
-def cmd_residuals(args) -> int:
-    session = _load(args)
-    child = session.resolve_body(args.child)
-    parent = session.resolve_body(args.parent)
-    fit = solve_joint(session, child, parent, rank_tol=args.rank_tol)
-    summary = residual_summary(fit)
-    print(f"pair: {session.label_of(child)} -> {session.label_of(parent)}")
-    print(f"classification: {fit.classification}")
-    print(f"min_m: {_fmt(summary.min)}")
-    print(f"max_m: {_fmt(summary.max)}")
-    print(f"mean_m: {_fmt(summary.mean)}")
-    print(f"rms_m: {_fmt(summary.rms)}")
-    if args.output:
-        write_residual_csv(args.output, fit)
-    if args.histogram:
-        _write_histogram(args.histogram, fit, bin_width=args.bin_width, bins=args.bins)
-    return 0
-
-
 def _finite_positive(text: str) -> float:
     try:
         value = float(text)
@@ -357,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--output", help="write a JSON fit report")
     sub.add_argument("--residuals", help="write per-frame residual CSV")
     sub.add_argument("--histogram", help="write residual histogram CSV")
+    sub.add_argument("--bins", type=_bin_count, help="histogram bin count (default 30)")
     sub.add_argument(
         "--bin-width", type=_finite_positive, help="histogram bin width in meters"
     )
@@ -403,19 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--output", help="write a JSON calibration report")
     sub.set_defaults(func=cmd_calibrate_pair)
-
-    sub = commands.add_parser("residuals", help="per-frame residuals of one pair")
-    _add_load_flags(sub)
-    sub.add_argument("child", help="child body index or label")
-    sub.add_argument("parent", help="parent body index or label")
-    _add_rank_tol(sub)
-    sub.add_argument("--output", help="write per-frame residual CSV")
-    sub.add_argument("--histogram", help="write residual histogram CSV")
-    sub.add_argument("--bins", type=_bin_count, default=30, help="histogram bin count")
-    sub.add_argument(
-        "--bin-width", type=_finite_positive, help="histogram bin width in meters"
-    )
-    sub.set_defaults(func=cmd_residuals)
 
     return parser
 

@@ -16,7 +16,7 @@ import numpy as np
 from .capture import BodyTrack, CaptureSession, json_integer, json_number, read_json, write_json
 from .errors import MissingRotationError, NotAdjacentError, ParseError
 from .hierarchy import build_fit_matrix, infer_hierarchy, tree_order
-from .rigid import cofactors
+from .rigid import _abs_max, cofactors, scale_frames
 from .solver import DEFAULT_RANK_TOL, Classification, JointFit, solve_joint
 
 
@@ -188,18 +188,17 @@ def forward_kinematics(
 def _relative_rotations(session: CaptureSession, child: int, parent: int) -> np.ndarray:
     """Rp^-1 Rc per frame, as cof(Rp)^T Rc / det(Rp) (rigid.cofactors).
 
-    Each frame of Rp and of Rc is first scaled by a power of two that
-    brings its largest entry into [0.5, 1), as in rigid.is_singular, and
+    Each frame of Rp and of Rc is first scaled by rigid.scale_frames, and
     the product is scaled back.  A track holds no singular frame, so the
     det divides safely, and a far-scaled frame neither overflows nor
     warns unless its result does.
     """
     Rp = session.track(parent).rotations
     Rc = session.track(child).rotations
-    _, e_p = np.frexp(np.abs(Rp).max(axis=(-2, -1)))
-    _, e_c = np.frexp(np.abs(Rc).max(axis=(-2, -1)))
-    cof, det = cofactors(np.ldexp(Rp, -e_p[:, None, None]))
-    rel = np.swapaxes(cof, -1, -2) @ np.ldexp(Rc, -e_c[:, None, None]) / det[:, None, None]
+    Xp, e_p = scale_frames(Rp)
+    Xc, e_c = scale_frames(Rc)
+    cof, det = cofactors(Xp)
+    rel = np.swapaxes(cof, -1, -2) @ Xc / det[:, None, None]
     return np.ldexp(rel, (e_c - e_p)[:, None, None])
 
 
@@ -218,8 +217,7 @@ def _orthonormalize(R: np.ndarray) -> np.ndarray:
     Stat. Comput. 7, 1986), X <- (g X + X^-T / g) / 2, batched, with
     X^-T in closed form (`rigid.cofactors`).  The first step uses the
     determinant scaling g = det(X)^(-1/3); later steps use g = 1.  Each
-    frame is first scaled by a power of two that brings its largest
-    entry into [0.5, 1), as in rigid.is_singular, so a far-scaled or
+    frame is first scaled by rigid.scale_frames, so a far-scaled or
     near-singular frame neither overflows nor warns.
 
     Each frame takes one of two routes.  A frame falls back on the SVD
@@ -229,8 +227,7 @@ def _orthonormalize(R: np.ndarray) -> np.ndarray:
     Every other frame takes its Newton result, which agrees with the SVD
     to a few ulps.
     """
-    _, exp = np.frexp(np.abs(R).max(axis=(-2, -1)))
-    X = np.ldexp(R, -exp[:, None, None])
+    X, _ = scale_frames(R)
     cof, det = cofactors(X)
     out = np.empty_like(X)
     by_newton = np.zeros(len(X), dtype=bool)
@@ -240,13 +237,13 @@ def _orthonormalize(R: np.ndarray) -> np.ndarray:
     for steps_left in range(_POLAR_STEPS - 1, -1, -1):
         gX = gamma * X
         X_next = 0.5 * (gX + cof / (gamma * det[:, None, None]))
-        done = np.abs(X_next - gX).max(axis=(-2, -1)) <= _POLAR_TOL
+        done = _abs_max(X_next - gX) <= _POLAR_TOL
         out[todo[done]] = X_next[done]
         by_newton[todo[done]] = True
         # A step can at most halve the largest singular value, so a frame
         # with an entry above 2**steps_left cannot converge in the steps left;
         # dropping it now also keeps the cross products from overflowing.
-        keep = ~done & (np.abs(X_next).max(axis=(-2, -1)) <= 2.0**steps_left)
+        keep = ~done & (_abs_max(X_next) <= 2.0**steps_left)
         todo, X = todo[keep], X_next[keep]
         if not todo.size:
             break

@@ -906,6 +906,12 @@ class TestLabels:
         assert session.label_of(1) == "tip"
         assert session.label_of(0) == "0"
 
+    @pytest.mark.parametrize("body", [99, 2, -1])
+    def test_label_for_an_absent_body_refused(self, body):
+        message = f"label 'wrist' names body {body}, not in the session (bodies 0..1)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            with_labels(small_session(m=2), {0: "base", body: "wrist"})
+
 
 # row 2 holds a field over the csv module's 131 072-character limit, or a 0xFF byte
 RECORD_FAULTS = {

@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, outputs, exit codes."""
+import argparse
 import json
 import os
 import subprocess
@@ -19,7 +20,7 @@ from skelfit.capture import (
     write_labels,
     write_session,
 )
-from skelfit.cli import main
+from skelfit.cli import build_parser, main
 from skelfit.hierarchy import FitMatrix, write_fit_matrix_csv, write_parent_map
 from skelfit.skeleton import (
     SkeletonModel,
@@ -34,6 +35,7 @@ from skelfit.solver import (
     Classification,
     JointFit,
     ResidualHistogram,
+    residual_summary,
     solve_joint,
     write_histogram_csv,
     write_residual_csv,
@@ -51,6 +53,7 @@ from skelfit.synth import (
 from conftest import manual_pair_session
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def fmt(x):
@@ -580,11 +583,11 @@ class TestResiduals:
         hist_path = tmp_path / "h.csv"
         code = main(
             [
-                "residuals",
+                "solve-joint",
                 str(base / "session.csv"),
                 "1",
                 "0",
-                "--output",
+                "--residuals",
                 str(resid_path),
                 "--histogram",
                 str(hist_path),
@@ -596,14 +599,50 @@ class TestResiduals:
         assert code == 0
         loaded = load_session(base / "session.csv")
         fit = solve_joint(loaded, 1, 0)
-        assert stdout_field(out, "rms_m") == fmt(fit.epsilon)
+        assert stdout_field(out, "epsilon_m") == fmt(fit.epsilon)
         assert stdout_field(out, "min_m") == fmt(fit.residual_per_frame.min())
         assert stdout_field(out, "max_m") == fmt(fit.residual_per_frame.max())
+        assert stdout_field(out, "mean_m") == fmt(fit.residual_per_frame.mean())
         assert len(resid_path.read_text().splitlines()) == 301
         assert len(hist_path.read_text().strip().splitlines()) == 13
         # the CSV carries the in-process residuals bit for bit
         back = np.loadtxt(resid_path, delimiter=",", skiprows=1, usecols=1, ndmin=1)
         assert back.tobytes() == fit.residual_per_frame.tobytes()
+
+    def test_epsilon_is_the_residual_rms(self, pair_csv, capsys):
+        # the rms of the per-frame residuals, by the same formula as epsilon
+        path, session = pair_csv
+        assert main(["solve-joint", str(path), "1", "0"]) == 0
+        out = capsys.readouterr().out
+        fit = solve_joint(session, 1, 0)
+        assert residual_summary(fit).rms == fit.epsilon
+        assert stdout_field(out, "epsilon_m") == fmt(residual_summary(fit).rms)
+
+    def test_default_bin_count(self, pair_csv, tmp_path, capsys):
+        path, _ = pair_csv
+        hist_path = tmp_path / "h.csv"
+        assert main(["solve-joint", str(path), "1", "0", "--histogram", str(hist_path)]) == 0
+        capsys.readouterr()
+        assert len(hist_path.read_text().strip().splitlines()) == 1 + 30
+
+    @pytest.mark.parametrize("flag, value", [("--bins", "12"), ("--bin-width", "0.001")])
+    def test_binning_without_histogram_refused(self, pair_csv, tmp_path, capsys, flag, value):
+        path, _ = pair_csv
+        resid_path = tmp_path / "r.csv"
+        argv = ["solve-joint", str(path), "1", "0", "--residuals", str(resid_path), flag, value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: argument {flag}: not allowed without argument --histogram" in captured.err
+        assert captured.out == "" and not resid_path.exists()
+
+
+# solve-joint writing the residual CSV: the form that replaced `skelfit residuals`,
+# whose test ids it keeps
+PAIR_WITH_RESIDUALS = ["solve-joint", "1", "0", "--residuals", "r.csv"]
+
+
+def _command_id(argv) -> str:
+    return "residuals" if "--residuals" in argv else argv[0]
 
 
 class TestExitCodes:
@@ -883,17 +922,22 @@ class TestExitCodes:
         path, _ = pair_csv
         too_many = str(MAX_HISTOGRAM_BINS + 1)
         with pytest.raises(SystemExit) as exc:
-            main(["residuals", str(path), "1", "0", "--histogram", "h.csv", "--bins", too_many])
+            main(["solve-joint", str(path), "1", "0", "--histogram", "h.csv", "--bins", too_many])
         assert exc.value.code == 2
         assert f"argument --bins: '{too_many}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["residuals", "solve-joint"])
+    @pytest.mark.parametrize(
+        "command",
+        [[*PAIR_WITH_RESIDUALS, "--bins", "12"], ["solve-joint", "1", "0"]],
+        ids=_command_id,
+    )
     def test_bin_width_implying_too_many_bins(self, pair_csv, tmp_path, capsys, command):
         path, _ = pair_csv
         top = float(solve_joint(load_session(path), 1, 0).residual_per_frame.max())
         width = repr(top / (MAX_HISTOGRAM_BINS + 1))
         hist_path = tmp_path / "h.csv"
-        argv = [command, str(path), "1", "0", "--histogram", str(hist_path), "--bin-width", width]
+        name, *rest = [str(tmp_path / a) if a == "r.csv" else a for a in command]
+        argv = [name, str(path), *rest, "--histogram", str(hist_path), "--bin-width", width]
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 2
@@ -908,33 +952,37 @@ class TestExitCodes:
                 ["calibrate-pair", "1", "0", "--known-distance", v]
                 for v in ("nan", "-0.5", "0", "inf")
             ),
-            *(["residuals", "1", "0", "--bins", v] for v in ("0", "-3", "2.5", "x")),
+            *(
+                [*PAIR_WITH_RESIDUALS, "--histogram", "h.csv", "--bins", v]
+                for v in ("0", "-3", "2.5", "x")
+            ),
             *(
                 [*command, "--rank-tol", v]
                 for command in (
                     ["build-skeleton"],
                     ["solve-joint", "1", "0"],
-                    ["residuals", "1", "0"],
+                    PAIR_WITH_RESIDUALS,
                 )
                 for v in ("nan", "0", "1", "1.5", "-1", "x")
             ),
             *(
-                [command, "1", "0", "--histogram", "h.csv", "--bin-width", v]
-                for command in ("residuals", "solve-joint")
+                [*command, "--histogram", "h.csv", "--bin-width", v]
+                for command in (PAIR_WITH_RESIDUALS, ["solve-joint", "1", "0"])
                 for v in ("nan", "inf", "0", "-0.001")
             ),
         ],
-        ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
+        ids=lambda argv: f"{_command_id(argv)}{argv[-2]}={argv[-1]}",
     )
     def test_numeric_flag_out_of_range(self, pair_csv, tmp_path, capsys, argv):
         path, _ = pair_csv
         command, *rest = argv
-        rest = [str(tmp_path / a) if a == "h.csv" else a for a in rest]
+        rest = [str(tmp_path / a) if a in ("h.csv", "r.csv") else a for a in rest]
         with pytest.raises(SystemExit) as exc:
             main([command, str(path), *rest])
         assert exc.value.code == 2
         assert f"argument {argv[-2]}" in capsys.readouterr().err
         assert not (tmp_path / "h.csv").exists()
+        assert not (tmp_path / "r.csv").exists()
 
     def test_bad_spec_json(self, tmp_path, capsys):
         spec_path = tmp_path / "broken.json"
@@ -967,6 +1015,21 @@ class TestExitCodes:
         capsys.readouterr()
         assert exc.value.code == 2
 
+    def test_residuals_is_not_a_command(self, pair_csv, tmp_path, capsys):
+        path, _ = pair_csv
+        with pytest.raises(SystemExit) as exc:
+            main(["residuals", str(path), "1", "0", "--output", str(tmp_path / "r.csv")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'residuals'" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_label_for_an_absent_body(self, pair_csv, tmp_path, capsys):
+        path, _ = pair_csv
+        labels = tmp_path / "labels.csv"
+        write_labels(labels, {0: "base", 99: "wrist"})
+        assert main(["solve-joint", str(path), "1", "0", "--labels", str(labels)]) == 3
+        assert "names body 99, not in the session (bodies 0..1)" in capsys.readouterr().err
+
     def test_calibrate_length_guard_is_not_triggered_by_cli(
         self, tmp_path, capsys
     ):
@@ -979,6 +1042,14 @@ class TestExitCodes:
             main(["calibrate-pair", str(path), "0", "1", "--known-distance", "x"])
         capsys.readouterr()
         assert exc.value.code == 2
+
+
+def test_readme_table_lists_every_subcommand():
+    text = README.read_text(encoding="utf-8")
+    table = text.split("| command | purpose |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    listed = [row.split("`")[1] for row in table.splitlines()]
+    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(listed) == sorted(commands.choices)
 
 
 def _json_text(text: str) -> bytes:

@@ -13,6 +13,7 @@ from skelfit.rigid import (
     orthonormality_error,
     quaternion_matrix,
     rotation_about_axis,
+    scale_frames,
 )
 
 from conftest import cofactor_families, haar_rotations
@@ -222,6 +223,59 @@ class TestCofactorsOracle:
         assert 0 < differ.sum() <= in_band.sum() < k // 20
         for family, R in FAMILIES.items():
             assert np.array_equal(is_singular(R), lu_singular(R)), family
+
+
+def scale_stacks() -> dict[str, np.ndarray]:
+    """Haar rotations, the same scaled by 2^+-1000, frames whose entries
+    spread over 2^+-40 (so any entry may hold the largest exponent), a stack
+    mixing zero, subnormal, inf, NaN and -0 frames among rotations, and
+    single matrices."""
+    rng = np.random.default_rng(61)
+    Q = haar_rotations(rng, 5000)
+    mixed = Q.copy()
+    mixed[::7] = 0.0
+    mixed[1::7, 1, 2] = 5e-324  # one subnormal entry among normal ones
+    mixed[2::7] = np.ldexp(Q[2::7], -1070)  # every entry subnormal or zero
+    mixed[3::7, 0, 0] = np.inf
+    mixed[4::7, 2, 1] = -np.inf
+    mixed[5::7, 1, 1] = np.nan
+    mixed[6::7] = -0.0
+    return {
+        "haar": Q,
+        "scaled 2^1000": np.ldexp(Q, 1000),
+        "scaled 2^-1000": np.ldexp(Q, -1000),
+        "spread entries": np.ldexp(rng.normal(size=Q.shape), rng.integers(-40, 40, Q.shape)),
+        "mixed": mixed,
+        "one matrix": Q[0],
+        "one zero matrix": np.zeros((3, 3)),
+    }
+
+
+SCALE_STACKS = scale_stacks()
+
+
+@pytest.mark.filterwarnings("error")
+class TestScaleFramesOracle:
+    """scale_frames (an np.maximum chain over the nine entries) against the
+    np.frexp(np.abs(R).max(axis=(-2, -1))) form: equal exponents, and scaled
+    frames equal bit for bit."""
+
+    @pytest.mark.parametrize("name", list(SCALE_STACKS))
+    def test_matches_the_reduction_form(self, name):
+        R = SCALE_STACKS[name]
+        X, exp = scale_frames(R)
+        _, ref_exp = np.frexp(np.abs(R).max(axis=(-2, -1)))
+        ref_X = np.ldexp(R, -ref_exp[..., None, None])
+        assert np.shape(exp) == np.shape(ref_exp) and np.array_equal(exp, ref_exp)
+        assert X.shape == R.shape and X.tobytes() == ref_X.tobytes()
+
+    @pytest.mark.parametrize("name", ["haar", "scaled 2^1000", "scaled 2^-1000"])
+    def test_scaled_frames_lie_in_half_to_one(self, name):
+        R = SCALE_STACKS[name]
+        X, exp = scale_frames(R)
+        top = np.abs(X).max(axis=(-2, -1))
+        assert ((0.5 <= top) & (top < 1.0)).all()
+        assert np.array_equal(np.ldexp(X, exp[:, None, None]), R)
 
 
 def test_orthonormality_error_scale():
