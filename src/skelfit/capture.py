@@ -63,8 +63,8 @@ import os
 import signal
 import warnings
 from contextlib import closing, contextmanager, suppress
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -111,7 +111,6 @@ class BodyTrack:
     body_id: int
     rotations: np.ndarray
     translations: np.ndarray
-    label: Optional[str] = None
 
     def __post_init__(self):
         rot = np.array(self.rotations, dtype=np.float64)
@@ -139,10 +138,11 @@ class BodyTrack:
 
 @dataclass(frozen=True)
 class CaptureSession:
-    """Immutable m-body, n-frame collection of world transforms."""
+    """Immutable m-body, n-frame collection of world transforms, and the bodies' labels."""
 
     bodies: tuple[BodyTrack, ...]
     frame_count: int
+    labels: Optional[dict[int, str]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "bodies", tuple(self.bodies))
@@ -158,6 +158,7 @@ class CaptureSession:
                 raise ValueError(
                     f"body {b.body_id}: {len(b)} frames, session has {self.frame_count}"
                 )
+        object.__setattr__(self, "labels", _check_labels(self.labels, range(len(ids))))
 
     @property
     def body_count(self) -> int:
@@ -169,20 +170,47 @@ class CaptureSession:
         return self.bodies[body]
 
     def label_of(self, body: int) -> str:
-        t = self.track(body)
-        return t.label if t.label is not None else str(body)
+        self.track(body)
+        return (self.labels or {}).get(body, str(body))
 
     def resolve_body(self, name: str) -> int:
-        """Body index from a decimal index or a sidecar label."""
+        """Body index from a decimal index or a label."""
         try:
             idx = int(name)
         except ValueError:
-            for b in self.bodies:
-                if b.label == name:
-                    return b.body_id
-            raise KeyError(f"no body labeled {name!r}")
+            by_label = {label: body for body, label in (self.labels or {}).items()}
+            if name not in by_label:
+                raise KeyError(f"no body labeled {name!r}") from None
+            return by_label[name]
         self.track(idx)
         return idx
+
+
+def _check_labels(labels: Optional[Mapping], bodies: Sequence[int], owner: str = "session"):
+    """A {body: label} map as a dict without its None labels; None if that is empty.
+
+    ValueError unless each label is a string naming one of `bodies` and no
+    other body, and a label int() reads is its own body's index, so that
+    `CaptureSession.resolve_body` finds every body by its label.
+    """
+    named: dict[str, int] = {}
+    for body, label in sorted((b, x) for b, x in (labels or {}).items() if x is not None):
+        if not isinstance(label, str):
+            raise ValueError(f"body {body}: label must be a string or null, got {label!r}")
+        if body not in bodies:
+            span = f"0..{len(bodies) - 1}" if bodies == range(len(bodies)) else bodies
+            raise ValueError(
+                f"label {label!r} names body {body}, not in the {owner} (bodies {span})"
+            )
+        if label in named:
+            raise ValueError(f"label {label!r} names bodies {named[label]} and {body}")
+        named[label] = body
+        index = body
+        with suppress(ValueError):
+            index = int(label)
+        if index != body:
+            raise ValueError(f"label {label!r} names body {body} but reads as body {index}")
+    return {body: label for label, body in named.items()} or None
 
 
 def load_session(path, unit_scale: float = 1.0) -> CaptureSession:
@@ -768,18 +796,9 @@ def write_labels(path, labels: dict[int, str]):
 
 
 def with_labels(session: CaptureSession, labels: dict[int, str]) -> CaptureSession:
-    """The session with the given labels; a body the session lacks raises ValueError."""
-    m = session.body_count
-    for body in sorted(labels):
-        if not 0 <= body < m:
-            raise ValueError(
-                f"label {labels[body]!r} names body {body}, not in the session (bodies 0..{m - 1})"
-            )
-    bodies = tuple(
-        BodyTrack(b.body_id, b.rotations, b.translations, labels.get(b.body_id, b.label))
-        for b in session.bodies
-    )
-    return CaptureSession(bodies, session.frame_count)
+    """The session with these labels added to its own, sharing its tracks;
+    ValueError unless the merged map passes `_check_labels`."""
+    return replace(session, labels={**(session.labels or {}), **labels})
 
 
 def validate(session: CaptureSession) -> list[str]:

@@ -8,12 +8,13 @@ together exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
 import numpy as np
 
 from .capture import BodyTrack, CaptureSession, json_integer, json_number, read_json, write_json
+from .capture import _check_labels
 from .errors import MissingRotationError, NotAdjacentError, ParseError
 from .hierarchy import build_fit_matrix, infer_hierarchy, tree_order
 from .rigid import _abs_max, cofactors, scale_frames
@@ -25,7 +26,8 @@ class SkeletonModel:
     """A fitted tree: the root body plus one JointFit per other body.
 
     Construction raises ValueError unless the joints' parents form one
-    tree under the root (see hierarchy.tree_order).
+    tree under the root (see hierarchy.tree_order), or labels break
+    capture._check_labels for the model's bodies.
     """
 
     root: int
@@ -39,6 +41,7 @@ class SkeletonModel:
             if joint.child != body:
                 raise ValueError("joint keyed by the wrong body")
         self.topological_order()  # raises unless the joints form one tree
+        object.__setattr__(self, "labels", _check_labels(self.labels, self.bodies, "model"))
 
     @property
     def bodies(self) -> list[int]:
@@ -75,8 +78,8 @@ def fit_skeleton(
         raise ValueError(f"parent map body {extra[0]} is not in the session (bodies 0..{m - 1})")
 
     joints = {b: solve_joint(session, b, hierarchy[b], rank_tol) for b in sorted(others)}
-    labels = {b.body_id: b.label for b in session.bodies if b.label is not None}
-    return SkeletonModel(root=root, joints=joints, labels=labels or None)
+    labels = {b: label for b, label in (session.labels or {}).items() if b in hierarchy}
+    return SkeletonModel(root=root, joints=joints, labels=labels)
 
 
 def limb_length(model: SkeletonModel, joint_a: int, joint_b: int) -> float:
@@ -131,9 +134,9 @@ def _chain_world(
     model: SkeletonModel,
     root_R: np.ndarray,
     root_t: np.ndarray,
-    joint_rotations: Mapping[int, np.ndarray],
+    joint_rotations: dict[int, np.ndarray],
 ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """Accumulate world transforms root-outward; returns (R, t) dicts."""
+    """World transforms root-outward as (R, t) dicts, popping joint_rotations as it goes."""
     n = root_R.shape[0]
     world_R: dict[int, np.ndarray] = {model.root: root_R}
     world_t: dict[int, np.ndarray] = {model.root: root_t}
@@ -142,7 +145,7 @@ def _chain_world(
             continue
         if body not in joint_rotations:
             raise MissingRotationError(f"no rotations supplied for body {body}")
-        rel = np.asarray(joint_rotations[body], dtype=np.float64)
+        rel = np.asarray(joint_rotations.pop(body), dtype=np.float64)
         if rel.shape != (n, 3, 3):
             raise MissingRotationError(
                 f"body {body}: rotations must be ({n}, 3, 3), got {rel.shape}"
@@ -167,22 +170,19 @@ def forward_kinematics(
     (R, t) pair of (n, 3, 3) and (n, 3) arrays.
     joint_rotations maps each non-root body to its (n, 3, 3) per-frame
     rotation relative to the parent.  In the output, child and parent
-    map their copies of every joint to identical world points.
+    map their copies of every joint to identical world points.  labels
+    names the output's bodies; None takes the model's labels.
 
     The model must cover bodies 0..m-1 so the result forms a session.
     """
     root_R, root_t = (np.asarray(a, dtype=np.float64) for a in root_world)
-    world_R, world_t = _chain_world(model, root_R, root_t, joint_rotations)
+    world_R, world_t = _chain_world(model, root_R, root_t, dict(joint_rotations))
     if sorted(world_R) != list(range(len(world_R))):
         raise ValueError(
             f"model bodies {sorted(world_R)} are not contiguous from 0"
         )
-    label_map = labels if labels is not None else (model.labels or {})
-    tracks = tuple(
-        BodyTrack(b, world_R[b], world_t[b], label=label_map.get(b))
-        for b in sorted(world_R)
-    )
-    return CaptureSession(tracks, root_R.shape[0])
+    tracks = tuple(BodyTrack(b, world_R.pop(b), world_t.pop(b)) for b in sorted(world_R))
+    return CaptureSession(tracks, root_R.shape[0], model.labels if labels is None else labels)
 
 
 def _relative_rotations(session: CaptureSession, child: int, parent: int) -> np.ndarray:
@@ -297,14 +297,11 @@ def reconstruct(
         model, root_track.rotations, root_track.translations, rotations
     )
 
-    tracks = []
-    for body in range(session.body_count):
-        if body in world_R:
-            old = session.bodies[body]
-            tracks.append(BodyTrack(body, world_R[body], world_t[body], label=old.label))
-        else:
-            tracks.append(session.bodies[body])
-    return CaptureSession(tuple(tracks), session.frame_count)
+    tracks = tuple(
+        BodyTrack(body, world_R.pop(body), world_t.pop(body)) if body in world_R else track
+        for body, track in enumerate(session.bodies)
+    )
+    return replace(session, bodies=tracks)
 
 
 def joint_gaps(model: SkeletonModel, session: CaptureSession) -> dict[int, np.ndarray]:
@@ -404,7 +401,7 @@ def dict_to_skeleton(data: dict) -> SkeletonModel:
             if entry.get("axis_parent") is None
             else _field(entry, "axis_parent", where, _vector3),
         )
-    return SkeletonModel(root=root, joints=joints, labels=labels or None)
+    return SkeletonModel(root=root, joints=joints, labels=labels)
 
 
 def save_skeleton(path, model: SkeletonModel):

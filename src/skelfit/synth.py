@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .capture import BodyTrack, CaptureSession, json_integer, json_number, read_json, write_json
+from .capture import _check_labels
 from .errors import InvalidSpecError
 from .hierarchy import tree_order
 from .rigid import cofactors, orthonormality_error, quaternion_matrix, rotation_about_axis
@@ -191,10 +192,6 @@ class SynthBody:
     def __post_init__(self):
         object.__setattr__(self, "c", _as_vector(self.c, "c"))
         object.__setattr__(self, "l", _as_vector(self.l, "l"))
-        if self.label is not None and not isinstance(self.label, str):
-            raise InvalidSpecError(
-                f"body {self.body_id}: label must be a string or null, got {self.label!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -230,14 +227,10 @@ class SynthSpec:
             raise InvalidSpecError("unit_distortion must be finite and positive")
         if self.sample_interval is not None and not 0.0 < self.sample_interval < math.inf:
             raise InvalidSpecError("sample_interval must be finite and positive when given")
-        named = {}  # label -> the first body holding it; the labels file maps one to one
-        for body in bodies:
-            if body.label in named:
-                raise InvalidSpecError(
-                    f"label {body.label!r} names bodies {named[body.label]} and {body.body_id}"
-                )
-            if body.label is not None:
-                named[body.label] = body.body_id
+        try:  # the session and the truth model carry these labels
+            _check_labels({b.body_id: b.label for b in bodies}, ids)
+        except ValueError as exc:
+            raise InvalidSpecError(str(exc)) from exc
         for body in (b for b in bodies if b.parent is not None):
             exc = body.excitation
             if exc.kind == "scripted" and exc.rotations.shape[0] != self.frame_count:
@@ -289,8 +282,8 @@ def truth_model(spec: SynthSpec) -> SkeletonModel:
             axis_child=axis_child,
             axis_parent=axis_parent,
         )
-    labels = {b.body_id: b.label for b in spec.bodies if b.label is not None}
-    return SkeletonModel(root=root, joints=joints, labels=labels or None)
+    labels = {b.body_id: b.label for b in spec.bodies}
+    return SkeletonModel(root=root, joints=joints, labels=labels)
 
 
 def generate(spec: SynthSpec) -> tuple[CaptureSession, SkeletonModel]:
@@ -309,7 +302,7 @@ def generate(spec: SynthSpec) -> tuple[CaptureSession, SkeletonModel]:
     for body in spec.bodies:
         if body.body_id != truth.root:
             rels[body.body_id] = body.excitation.sample(rng, n)
-    world_R, world_t = _chain_world(truth, root_R, root_t, rels)
+    world_R, world_t = _chain_world(truth, root_R, root_t, rels)  # frees rels
 
     if spec.unit_distortion != 1.0:
         world_t = {b: t / spec.unit_distortion for b, t in world_t.items()}
@@ -323,12 +316,8 @@ def generate(spec: SynthSpec) -> tuple[CaptureSession, SkeletonModel]:
         if sigma_t > 0.0:
             world_t[b] = world_t[b] + rng.normal(0.0, sigma_t, size=(n, 3))
 
-    tracks = tuple(
-        BodyTrack(b.body_id, world_R[b.body_id], world_t[b.body_id], label=b.label)
-        for b in spec.bodies
-    )
-    session = CaptureSession(tracks, n)
-    return session, truth
+    tracks = tuple(BodyTrack(b, world_R[b], world_t[b]) for b in range(len(spec.bodies)))
+    return CaptureSession(tracks, n, labels=truth.labels), truth
 
 
 def rigid_pair_spec(

@@ -88,13 +88,8 @@ def manual_pair_session(
     for k in range(n):
         Rc[k] = Rp[k] @ relative_rotations[k]
         tc[k] = Rp[k] @ l + tp[k] - Rc[k] @ c
-    return CaptureSession(
-        (
-            BodyTrack(0, Rp, tp, label=labels[0]),
-            BodyTrack(1, Rc, tc, label=labels[1]),
-        ),
-        n,
-    )
+    tracks = (BodyTrack(0, Rp, tp), BodyTrack(1, Rc, tc))
+    return CaptureSession(tracks, n, labels=dict(enumerate(labels)))
 
 
 def hinge_relative_rotations(axis, mount, angles) -> np.ndarray:

@@ -436,8 +436,8 @@ class TestParseErrors:
 
 def session_bits(session: CaptureSession) -> list:
     """Everything a loaded session holds, with floats as their bit patterns."""
-    return [session.frame_count] + [
-        (b.body_id, b.label, b.rotations.view(np.uint64), b.translations.view(np.uint64))
+    return [session.frame_count, session.labels] + [
+        (b.body_id, b.rotations.view(np.uint64), b.translations.view(np.uint64))
         for b in session.bodies
     ]
 
@@ -464,10 +464,10 @@ def assert_same_outcome(got, expected):
         assert got == expected
     else:
         assert not isinstance(got, tuple), got
-        assert got[0] == expected[0]
-        for a, b in zip(got[1:], expected[1:], strict=True):
-            assert a[:2] == b[:2]
-            assert np.array_equal(a[2], b[2]) and np.array_equal(a[3], b[3])
+        assert got[:2] == expected[:2]
+        for a, b in zip(got[2:], expected[2:], strict=True):
+            assert a[0] == b[0]
+            assert np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
 
 
 GOOD_ROWS = [
@@ -911,6 +911,69 @@ class TestLabels:
         message = f"label 'wrist' names body {body}, not in the session (bodies 0..1)"
         with pytest.raises(ValueError, match=re.escape(message)):
             with_labels(small_session(m=2), {0: "base", body: "wrist"})
+
+    def test_with_labels_builds_no_track(self, monkeypatch):
+        session = small_session(m=3)
+        calls = []
+        monkeypatch.setattr(capture, "is_singular", lambda *args: calls.append(args))
+        labelled = with_labels(session, {2: "tip"})
+        assert calls == []
+        assert all(a is b for a, b in zip(labelled.bodies, session.bodies, strict=True))
+        assert with_labels(labelled, {0: "base"}).labels == {0: "base", 2: "tip"}
+
+    def test_session_labels_checked_and_copied(self):
+        tracks = small_session(m=3).bodies
+        labels = {0: "base", 1: None, 2: "2"}
+        session = CaptureSession(tracks, 3, labels)
+        labels[0] = "tip"
+        assert session.labels == {0: "base", 2: "2"}
+        assert CaptureSession(tracks, 3, {}).labels is None
+        assert CaptureSession(tracks, 3, {1: None}).labels is None
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ({0: "a", 2: "a"}, "label 'a' names bodies 0 and 2"),
+            ({1: "0"}, "label '0' names body 1 but reads as body 0"),
+            ({0: " 2 "}, "label ' 2 ' names body 0 but reads as body 2"),
+            ({2: "1_0"}, "label '1_0' names body 2 but reads as body 10"),
+            ({1: "-1"}, "label '-1' names body 1 but reads as body -1"),
+            ({1: 7}, "body 1: label must be a string or null, got 7"),
+        ],
+        ids=["two-bodies", "index", "spaced-index", "underscored", "negative", "not-a-string"],
+    )
+    def test_a_label_names_one_body(self, labels, message):
+        tracks = small_session(m=3).bodies
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CaptureSession(tracks, 3, labels)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            with_labels(small_session(m=3), labels)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(
+            st.integers(0, 3),
+            st.one_of(
+                st.sampled_from(["0", "1", "2", "3", "4", " 1", "01", "+2", "1_0", "-0", "٣"]),
+                st.text(st.sampled_from("01 ab"), max_size=3),
+            ),
+        )
+    )
+    def test_every_body_resolves_by_its_label(self, labels):
+        """A label map either fails naming the bodies, or each body's label
+        resolves back to that body and the session keeps the map as given."""
+        session = small_session(m=4)
+        try:
+            labelled = with_labels(session, labels)
+        except ValueError as exc:
+            assert re.fullmatch(
+                r"label '.*' names (bodies \d+ and \d+|body \d+ but reads as body -?\d+)",
+                str(exc),
+            ), exc
+            return
+        assert (labelled.labels or {}) == labels
+        for body in range(session.body_count):
+            assert labelled.resolve_body(labelled.label_of(body)) == body
 
 
 # row 2 holds a field over the csv module's 131 072-character limit, or a 0xFF byte

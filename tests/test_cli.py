@@ -144,6 +144,17 @@ class TestSolveJoint:
         assert code == 0
         assert stdout_field(out, "pair") == "tip -> base"
 
+    def test_label_read_as_another_index_exits_3(self, pair_csv, tmp_path, capsys):
+        # "0" as body 1's label would resolve to body 0: `1 0` printed "pair: 0 -> 0"
+        path, _ = pair_csv
+        labels_path = tmp_path / "labels.csv"
+        labels_path.write_text("body,label\n1,0\n")
+        code = main(["solve-joint", str(path), "1", "0", "--labels", str(labels_path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "error: label '0' names body 1 but reads as body 0" in captured.err
+        assert captured.out == ""
+
     def test_unit_scale_rescales_fit(self, pair_csv, tmp_path, capsys):
         _, session = pair_csv
         from skelfit.capture import BodyTrack, CaptureSession
@@ -386,6 +397,19 @@ class TestReconstruct:
             line for line in out.splitlines() if line.startswith("max joint gap before")
         ][-1]
         assert float(last_before.split(": ")[1].split()[0]) < 1e-11
+
+    def test_a_skeleton_label_given_to_two_bodies_exits_3(self, tmp_path, capsys):
+        session, _ = generate(linkage_spec(frames=40, seed=95))
+        session_path = tmp_path / "s.csv"
+        write_session(session_path, session)
+        data = skeleton_to_dict(fit_skeleton(session))
+        data["bodies"][4]["label"] = data["bodies"][2]["label"]
+        skel_path = tmp_path / "skeleton.json"
+        skel_path.write_text(json.dumps(data))
+        out_path = tmp_path / "out.csv"
+        assert main(["reconstruct", str(session_path), str(skel_path), str(out_path)]) == 3
+        assert "error: label 'upper_arm_l' names bodies 2 and 4" in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_older_skeleton_format_replays_identically(self, tmp_path, capsys):
         # older files gave the root a joint; it must not change playback
@@ -944,6 +968,16 @@ class TestExitCodes:
         assert "error: argument --bin-width: " in err
         assert f"above the cap of {MAX_HISTOGRAM_BINS}" in err
         assert not hist_path.exists()
+
+    def test_refused_bin_width_writes_no_file(self, pair_csv, tmp_path, capsys):
+        path, _ = pair_csv
+        outputs = [("--output", "f.json"), ("--residuals", "r.csv"), ("--histogram", "h.csv")]
+        argv = ["solve-joint", str(path), "1", "0", "--bin-width", "1e-300"]
+        for flag, name in outputs:
+            argv += [flag, str(tmp_path / name)]
+        assert main(argv) == 2
+        assert "error: argument --bin-width: " in capsys.readouterr().err
+        assert [name for _, name in outputs if (tmp_path / name).exists()] == []
 
     @pytest.mark.parametrize(
         "argv",

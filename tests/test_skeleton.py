@@ -1,5 +1,7 @@
 """Skeleton assembly, limb lengths, forward kinematics, reconstruction."""
 import json
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from skelfit.skeleton import (
     skeleton_to_dict,
 )
 from skelfit.solver import NOISELESS_RANK_TOL, Classification, JointFit, solve_joint
-from skelfit.synth import generate, linkage_spec
+from skelfit.synth import figure16_spec, generate, linkage_spec
 
 from conftest import cofactor_families, haar_rotations, manual_pair_session
 
@@ -87,6 +89,11 @@ class TestFitSkeleton:
         _, _, _, model = linkage_clean
         assert model.labels[0] == "torso"
         assert model.labels[5] == "forearm_r"
+
+    def test_labels_kept_only_for_the_model_bodies(self, linkage_clean):
+        _, session, _, _ = linkage_clean
+        model = fit_skeleton(session, hierarchy={0: None, 1: 0, 2: 0})
+        assert model.labels == {0: "torso", 1: "head", 2: "upper_arm_l"}
 
     def test_joints_are_the_solver_results(self, monkeypatch, linkage_clean):
         _, session, _, _ = linkage_clean
@@ -157,6 +164,23 @@ class TestModelValidation:
     def test_orphan_parent_rejected(self):
         with pytest.raises(ValueError):
             SkeletonModel(root=0, joints={1: make_joint(1, 5, (0, 0, 0), (0, 0, 0))})
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ({0: "arm", 2: "arm"}, "label 'arm' names bodies 0 and 2"),
+            ({2: "0"}, "label '0' names body 2 but reads as body 0"),
+            ({1: "leg"}, "label 'leg' names body 1, not in the model (bodies [0, 2, 3])"),
+            ({0: 5}, "body 0: label must be a string or null, got 5"),
+        ],
+        ids=["two-bodies", "index", "absent-body", "not-a-string"],
+    )
+    def test_labels_checked(self, labels, message):
+        joints = {b: make_joint(b, 0, (0, 0, 0), (0, 0, 0)) for b in (2, 3)}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SkeletonModel(root=0, joints=joints, labels=labels)
+        model = SkeletonModel(root=0, joints=joints, labels={0: "0", 2: "arm", 3: None})
+        assert model.labels == {0: "0", 2: "arm"}
 
     def test_topological_order_parents_first(self, linkage_clean):
         _, _, _, model = linkage_clean
@@ -294,6 +318,13 @@ class TestForwardKinematics:
         with pytest.raises(ValueError, match="contiguous"):
             forward_kinematics(model, (eye, np.zeros((2, 3))), {2: eye})
 
+    def test_caller_rotations_kept(self):
+        model = self.single_joint_model((0.1, 0.0, 0.0), (0.3, 0.0, 0.0))
+        eye = np.tile(np.eye(3), (2, 1, 1))
+        rotations = {1: eye}
+        forward_kinematics(model, (eye, np.zeros((2, 3))), rotations)
+        assert rotations == {1: eye}
+
     def test_label_override(self):
         model = self.single_joint_model((0.1, 0.0, 0.0), (0.3, 0.0, 0.0))
         eye = np.tile(np.eye(3), (1, 1, 1))
@@ -423,6 +454,18 @@ def noisy_linkage(frames=250, seed=45):
 
 
 class TestReconstruct:
+    def test_peak_memory_under_two_sessions(self):
+        # relative rotations are freed once chained, world arrays once copied (was 2.8)
+        session, truth = generate(figure16_spec(frames=2000, seed=3))
+        tracemalloc.start()
+        try:
+            reconstruct(truth, session, orthonormalize=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nbytes = sum(t.rotations.nbytes + t.translations.nbytes for t in session.bodies)
+        assert peak < 2 * nbytes
+
     def test_noiseless_session_unchanged(self, linkage_clean):
         _, session, _, model = linkage_clean
         rebuilt = reconstruct(model, session)
@@ -496,11 +539,11 @@ class TestReconstruct:
                     b.body_id,
                     b.rotations + rng.normal(0, 1e-4, b.rotations.shape),
                     b.translations,
-                    label=b.label,
                 )
                 for b in session.bodies
             ),
             session.frame_count,
+            session.labels,
         )
         model = fit_skeleton(smeared)
         raw = reconstruct(model, smeared)
@@ -639,6 +682,15 @@ class TestSerialization:
         assert skeleton_to_dict(from_old) == skeleton_to_dict(from_new) == new
         assert from_old.root == from_new.root == 1
         assert from_old.labels == from_new.labels
+
+    def test_a_label_given_to_two_bodies_refused(self):
+        model = SkeletonModel(
+            root=0, joints={1: make_joint(1, 0, (0, 0, 0), (0.1, 0, 0))}, labels={0: "base"}
+        )
+        data = skeleton_to_dict(model)
+        data["bodies"][1]["label"] = "base"
+        with pytest.raises(ValueError, match="label 'base' names bodies 0 and 1"):
+            dict_to_skeleton(data)
 
     def test_dict_round_trip_without_files(self):
         model = SkeletonModel(

@@ -1,6 +1,7 @@
 """Synthetic capture generation: specs, excitations, presets and serialization."""
 import copy
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -382,6 +383,25 @@ class TestGenerate:
         bodies = (bodies[0], replace(bodies[1], label=bodies[0].label)) + bodies[2:]
         with pytest.raises(InvalidSpecError, match="label 'pelvis' names bodies 0 and 1"):
             SynthSpec(bodies=bodies, frame_count=10)
+
+    def test_a_label_read_as_another_index_refused(self):
+        # the CLI would resolve "0" to body 0, so body 1 could not be named by it
+        bodies = figure16_spec(frames=10, seed=1).bodies
+        bodies = (bodies[0], replace(bodies[1], label="0")) + bodies[2:]
+        with pytest.raises(InvalidSpecError, match="label '0' names body 1 but reads as body 0"):
+            SynthSpec(bodies=bodies, frame_count=10)
+
+    def test_peak_memory_under_two_and_a_half_sessions(self):
+        # each body's relative rotations are freed once chained, so only the
+        # world arrays and their track copies are ever all live (was 3.1)
+        tracemalloc.start()
+        try:
+            session, _ = generate(figure16_spec(frames=2000, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nbytes = sum(t.rotations.nbytes + t.translations.nbytes for t in session.bodies)
+        assert peak < 2.5 * nbytes
 
     def test_rotations_stay_orthonormal_with_rotation_noise(self):
         session, _ = generate(
