@@ -17,7 +17,7 @@ from skelfit.synth import generate, rigid_pair_spec
 spec = rigid_pair_spec(frames=2000, seed=51, sigma_t=0.007, unit_distortion=0.94)
 session, _ = generate(spec)
 
-cal = calibrate_pair(session.track(0), session.track(1), known_distance=0.565)
+cal = calibrate_pair(session, 0, 1, known_distance=0.565)
 print("mean reported distance:", round(cal.mean_m, 4), "emitted units")
 print("std over frames:       ", round(cal.std_m * 1000, 2), "mm")
 print("recovered unit scale:  ", round(cal.scale, 4))

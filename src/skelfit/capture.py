@@ -64,6 +64,7 @@ import signal
 import warnings
 from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -142,7 +143,7 @@ class CaptureSession:
 
     bodies: tuple[BodyTrack, ...]
     frame_count: int
-    labels: Optional[dict[int, str]] = None
+    labels: Optional[Mapping[int, str]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "bodies", tuple(self.bodies))
@@ -187,11 +188,11 @@ class CaptureSession:
 
 
 def _check_labels(labels: Optional[Mapping], bodies: Sequence[int], owner: str = "session"):
-    """A {body: label} map as a dict without its None labels; None if that is empty.
+    """A {body: label} map as a read-only copy without its None labels; None if that is empty.
 
     ValueError unless each label is a string naming one of `bodies` and no
     other body, and a label int() reads is its own body's index, so that
-    `CaptureSession.resolve_body` finds every body by its label.
+    `CaptureSession.resolve_body` finds every body by its label; no edit can undo the check.
     """
     named: dict[str, int] = {}
     for body, label in sorted((b, x) for b, x in (labels or {}).items() if x is not None):
@@ -210,7 +211,7 @@ def _check_labels(labels: Optional[Mapping], bodies: Sequence[int], owner: str =
             index = int(label)
         if index != body:
             raise ValueError(f"label {label!r} names body {body} but reads as body {index}")
-    return {body: label for label, body in named.items()} or None
+    return MappingProxyType({body: label for label, body in named.items()}) if named else None
 
 
 def load_session(path, unit_scale: float = 1.0) -> CaptureSession:
@@ -791,7 +792,8 @@ def json_number(value) -> float:
     return number
 
 
-def write_labels(path, labels: dict[int, str]):
+def write_labels(path, labels: Mapping[int, str]):
+    """Write a `body,label` CSV in body order; OSError if it cannot be written."""
     write_csv(path, "body,label", ([body, labels[body]] for body in sorted(labels)))
 
 

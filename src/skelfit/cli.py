@@ -250,9 +250,7 @@ def cmd_calibrate_pair(args) -> int:
     session = _load(args)
     body_a = session.resolve_body(args.body_a)
     body_b = session.resolve_body(args.body_b)
-    cal = calibrate_pair(
-        session.track(body_a), session.track(body_b), known_distance=args.known_distance
-    )
+    cal = calibrate_pair(session, body_a, body_b, known_distance=args.known_distance)
     print(f"pair: {session.label_of(body_a)} - {session.label_of(body_b)}")
     print(f"frames: {len(cal.distances)}")
     print(f"mean_m: {_fmt(cal.mean_m)}")

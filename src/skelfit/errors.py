@@ -52,9 +52,5 @@ class MissingRotationError(SkelfitError):
     """A joint rotation required for playback was not supplied."""
 
 
-class LengthMismatchError(SkelfitError):
-    """Two tracks that must align frame-by-frame have different lengths."""
-
-
 class InvalidSpecError(SkelfitError):
     """A synthetic-figure description is internally inconsistent."""

@@ -329,6 +329,7 @@ def tree_order(parent: Mapping[int, Optional[int]]) -> list[int]:
 
 
 def write_fit_matrix_csv(path, fits: FitMatrix):
+    """Write one `body_i,body_j,epsilon_m` row per pair; OSError if it cannot be written."""
     m = fits.size
     rows = ([i, j, repr(float(fits.epsilon[i, j]))] for i in range(m) for j in range(i + 1, m))
     write_csv(path, "body_i,body_j,epsilon_m", rows)
@@ -357,5 +358,6 @@ def load_parent_map(path) -> dict[int, Optional[int]]:
 
 
 def write_parent_map(path, parent: dict[int, Optional[int]]):
+    """Write a `body,parent` CSV, the root's parent as 'world'; OSError if it cannot be written."""
     rows = ([body, "world" if parent[body] is None else parent[body]] for body in sorted(parent))
     write_csv(path, "body,parent", rows)

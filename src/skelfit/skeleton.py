@@ -32,7 +32,7 @@ class SkeletonModel:
 
     root: int
     joints: dict[int, JointFit] = field(repr=False)
-    labels: Optional[dict[int, str]] = None
+    labels: Optional[Mapping[int, str]] = None
 
     def __post_init__(self):
         if self.root in self.joints:
@@ -162,7 +162,7 @@ def forward_kinematics(
     model: SkeletonModel,
     root_world: tuple[np.ndarray, np.ndarray],
     joint_rotations: Mapping[int, np.ndarray],
-    labels: Optional[dict[int, str]] = None,
+    labels: Optional[Mapping[int, str]] = None,
 ) -> CaptureSession:
     """Chain joint rotations from the root into world transforms.
 
@@ -371,25 +371,27 @@ def _field(entry: dict, key: str, where: str, convert):
 
 
 def dict_to_skeleton(data: dict) -> SkeletonModel:
-    """Inverse of skeleton_to_dict; ParseError names the body and field at fault."""
+    """Inverse of skeleton_to_dict; ParseError names the body and field at fault.
+    ValueError unless the entries form one tree (hierarchy.tree_order) under the root."""
     root = _field(data, "root", "skeleton", json_integer)
     joints: dict[int, JointFit] = {}
     labels: dict[int, str] = {}
-    seen: set[int] = set()
+    parents: dict[int, Optional[int]] = {}
     for entry in _field(data, "bodies", "skeleton", list):
         body = _field(entry, "id", "body entry", json_integer)
         where = f"body {body}"
-        if body in seen:
+        if body in parents:
             raise ParseError(f"{where}: listed twice")
-        seen.add(body)
         if entry.get("label") is not None:
             labels[body] = _field(entry, "label", where, _json_string)
+        parents[body] = None
         if entry.get("parent") is None:
             # older files also gave the root c, l, epsilon_m and so on
             continue
+        parents[body] = _field(entry, "parent", where, json_integer)
         joints[body] = JointFit(
             child=body,
-            parent=_field(entry, "parent", where, json_integer),
+            parent=parents[body],
             c=_field(entry, "c", where, _vector3),
             l=_field(entry, "l", where, _vector3),
             epsilon=_field(entry, "epsilon_m", where, json_number),
@@ -401,12 +403,19 @@ def dict_to_skeleton(data: dict) -> SkeletonModel:
             if entry.get("axis_parent") is None
             else _field(entry, "axis_parent", where, _vector3),
         )
+    # the tree rule sees every entry, so a second root is refused, not dropped;
+    # SkeletonModel refuses a root entry that has a parent
+    tree_order(parents)
+    if root not in parents:
+        raise ValueError(f"root {root} is not among the listed bodies")
     return SkeletonModel(root=root, joints=joints, labels=labels)
 
 
 def save_skeleton(path, model: SkeletonModel):
+    """Write the model as skeleton JSON; OSError if the file cannot be written."""
     write_json(path, skeleton_to_dict(model))
 
 
 def load_skeleton(path) -> SkeletonModel:
+    """Read skeleton JSON; ParseError for malformed JSON or fields, ValueError for a bad tree."""
     return dict_to_skeleton(read_json(path))

@@ -26,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .capture import BodyTrack, CaptureSession, write_csv
-from .errors import AllZeroError, DegenerateInputError, LengthMismatchError
+from .capture import CaptureSession, write_csv
+from .errors import AllZeroError, DegenerateInputError
 
 DEFAULT_RANK_TOL = 1e-5
 NOISELESS_RANK_TOL = 1e-8  # recommended for synthetic, noise-free data
@@ -74,10 +74,10 @@ class JointFit:
         return np.concatenate([self.c, self.l])
 
 
-def _tracks(session: CaptureSession, child: int, parent: int):
-    if child == parent:
-        raise ValueError("child and parent must differ")
-    return session.track(child), session.track(parent)
+def _tracks(session: CaptureSession, body_a: int, body_b: int):
+    if body_a == body_b:
+        raise ValueError(f"body {body_a} given twice: the two bodies must differ")
+    return session.track(body_a), session.track(body_b)
 
 
 def assemble_system(session: CaptureSession, child: int, parent: int):
@@ -192,20 +192,17 @@ class PairCalibration:
 
 
 def calibrate_pair(
-    track_a: BodyTrack, track_b: BodyTrack, known_distance: Optional[float] = None
+    session: CaptureSession, body_a: int, body_b: int, known_distance: Optional[float] = None
 ) -> PairCalibration:
     """Distance statistics between two sensor origins.
 
     scale = known_distance / mean converts emitted units to meters;
     without a known distance the scale reports 1.  A known distance must
-    be finite and positive, and the two tracks must be different bodies.
+    be finite and positive, and the two bodies must differ.
     """
-    if track_a.body_id == track_b.body_id:
-        raise ValueError(f"body {track_a.body_id} given twice: the two bodies must differ")
+    track_a, track_b = _tracks(session, body_a, body_b)
     if known_distance is not None and not 0.0 < known_distance < math.inf:
         raise ValueError(f"known_distance must be finite and positive, got {known_distance!r}")
-    if len(track_a) != len(track_b):
-        raise LengthMismatchError(f"tracks cover {len(track_a)} and {len(track_b)} frames")
     d = np.linalg.norm(track_a.translations - track_b.translations, axis=1)
     mean = float(d.mean())
     std = float(d.std(ddof=1)) if d.size > 1 else 0.0
@@ -217,20 +214,17 @@ def calibrate_pair(
 
 @dataclass(frozen=True)
 class ResidualSummary:
+    """Least, greatest and mean per-frame residual; the RMS is JointFit.epsilon."""
+
     min: float
     max: float
     mean: float
-    rms: float
 
 
 def residual_summary(fit: JointFit) -> ResidualSummary:
+    """Min, max and mean of solve_joint's per-frame residuals; AttributeError if it has none."""
     r = fit.residual_per_frame
-    return ResidualSummary(
-        min=float(r.min()),
-        max=float(r.max()),
-        mean=float(r.mean()),
-        rms=float(np.sqrt(np.mean(r**2))),
-    )
+    return ResidualSummary(min=float(r.min()), max=float(r.max()), mean=float(r.mean()))
 
 
 @dataclass(frozen=True)

@@ -205,7 +205,6 @@ class SynthSpec:
     root_motion: RootMotion = RootMotion()
     noise: NoiseSpec = NO_NOISE
     unit_distortion: float = 1.0
-    sample_interval: Optional[float] = None
 
     def __post_init__(self):
         bodies = tuple(self.bodies)
@@ -225,8 +224,6 @@ class SynthSpec:
             raise InvalidSpecError(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 < self.unit_distortion < math.inf:
             raise InvalidSpecError("unit_distortion must be finite and positive")
-        if self.sample_interval is not None and not 0.0 < self.sample_interval < math.inf:
-            raise InvalidSpecError("sample_interval must be finite and positive when given")
         try:  # the session and the truth model carry these labels
             _check_labels({b.body_id: b.label for b in bodies}, ids)
         except ValueError as exc:
@@ -447,7 +444,6 @@ def spec_to_dict(spec: SynthSpec) -> dict:
         "frame_count": spec.frame_count,
         "seed": spec.seed,
         "unit_distortion": spec.unit_distortion,
-        "sample_interval": spec.sample_interval,
         "root_motion": {
             "kind": spec.root_motion.kind,
             "translation_scale": spec.root_motion.translation_scale,
@@ -475,9 +471,7 @@ def _check_keys(mapping: dict, allowed: frozenset, where: str) -> None:
         raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
 
 
-_TOP_KEYS = frozenset(
-    ("bodies", "frame_count", "seed", "root_motion", "noise", "unit_distortion", "sample_interval")
-)
+_TOP_KEYS = frozenset(("bodies", "frame_count", "seed", "root_motion", "noise", "unit_distortion"))
 _BODY_KEYS = frozenset(("id", "parent", "label", "c", "l", "excitation"))
 _EXCITATION_KEYS = frozenset(("kind", "max_angle", "axis", "mount", "rotations"))
 _ROOT_MOTION_KEYS = frozenset(("kind", "translation_scale", "rotate"))
@@ -493,6 +487,9 @@ def _spec_number(value, field: str) -> float:
 
 def dict_to_spec(data: dict) -> SynthSpec:
     try:
+        if "sample_interval" in data and data["sample_interval"] is None:
+            # spec.json files once held this null; any other value is an unknown key
+            data = {k: v for k, v in data.items() if k != "sample_interval"}
         _check_keys(data, _TOP_KEYS, "spec")
         bodies = []
         for entry in data["bodies"]:
@@ -538,19 +535,18 @@ def dict_to_spec(data: dict) -> SynthSpec:
                 sigma_r=_spec_number(noise_data.get("sigma_r", 0.0), "sigma_r"),
             ),
             unit_distortion=_spec_number(data.get("unit_distortion", 1.0), "unit_distortion"),
-            sample_interval=None
-            if data.get("sample_interval") is None
-            else _spec_number(data["sample_interval"], "sample_interval"),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidSpecError(f"malformed synth spec: {exc}") from exc
 
 
 def save_spec(path, spec: SynthSpec):
+    """Write the spec as spec.json; OSError if the file cannot be written."""
     write_json(path, spec_to_dict(spec))
 
 
 def load_spec(path) -> SynthSpec:
+    """Read spec.json; ParseError for malformed JSON, InvalidSpecError for a bad spec."""
     data = read_json(path)
     if not isinstance(data, dict):
         raise InvalidSpecError("synth spec must be a JSON object")

@@ -285,7 +285,7 @@ def test_9_calibration_op(capsys):
     session, _ = generate(
         rigid_pair_spec(frames=2000, seed=105, sigma_t=0.007, unit_distortion=0.94)
     )
-    cal = calibrate_pair(session.track(0), session.track(1), known_distance=0.565)
+    cal = calibrate_pair(session, 0, 1, known_distance=0.565)
 
     # Monte-Carlo oracle for the injected model: a constant separation of
     # 0.565/0.94 emitted units plus independent N(0, 0.007^2) noise on

@@ -930,6 +930,16 @@ class TestLabels:
         assert CaptureSession(tracks, 3, {}).labels is None
         assert CaptureSession(tracks, 3, {1: None}).labels is None
 
+    def test_session_labels_are_read_only(self):
+        # an edit after the check could make label "0" name body 1
+        session = with_labels(small_session(m=2), {1: "tip"})
+        with pytest.raises(TypeError):
+            session.labels[1] = "0"
+        with pytest.raises(TypeError):
+            del session.labels[1]
+        assert session.labels == {1: "tip"}
+        assert session.resolve_body(session.label_of(1)) == 1
+
     @pytest.mark.parametrize(
         "labels, message",
         [

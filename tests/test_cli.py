@@ -35,7 +35,6 @@ from skelfit.solver import (
     Classification,
     JointFit,
     ResidualHistogram,
-    residual_summary,
     solve_joint,
     write_histogram_csv,
     write_residual_csv,
@@ -634,13 +633,13 @@ class TestResiduals:
         assert back.tobytes() == fit.residual_per_frame.tobytes()
 
     def test_epsilon_is_the_residual_rms(self, pair_csv, capsys):
-        # the rms of the per-frame residuals, by the same formula as epsilon
+        # epsilon_m is the one rms of the per-frame residuals
         path, session = pair_csv
         assert main(["solve-joint", str(path), "1", "0"]) == 0
         out = capsys.readouterr().out
         fit = solve_joint(session, 1, 0)
-        assert residual_summary(fit).rms == fit.epsilon
-        assert stdout_field(out, "epsilon_m") == fmt(residual_summary(fit).rms)
+        assert fit.epsilon == np.sqrt(np.mean(fit.residual_per_frame**2))
+        assert stdout_field(out, "epsilon_m") == fmt(fit.epsilon)
 
     def test_default_bin_count(self, pair_csv, tmp_path, capsys):
         path, _ = pair_csv
@@ -831,6 +830,20 @@ class TestExitCodes:
         assert main(["reconstruct", str(path), str(skel_path), str(out_path)]) == 3
         capsys.readouterr()
 
+    def test_skeleton_with_a_second_root(self, linkage_dir, tmp_path, capsys):
+        # body 2 was once dropped from the model and passed through unfitted
+        base, _, truth = linkage_dir
+        data = skeleton_to_dict(truth)
+        data["bodies"][2] = {"id": 2, "label": None, "parent": None}
+        skel_path = tmp_path / "skeleton.json"
+        skel_path.write_text(json.dumps(data))
+        out_path = tmp_path / "out.csv"
+        argv = ["reconstruct", str(base / "session.csv"), str(skel_path), str(out_path)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "error: parent map must have exactly one root, found [0, 2]" in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize(
         "damage, message",
         [
@@ -984,7 +997,7 @@ class TestExitCodes:
         [
             *(
                 ["calibrate-pair", "1", "0", "--known-distance", v]
-                for v in ("nan", "-0.5", "0", "inf")
+                for v in ("nan", "-0.5", "0", "inf", "x")
             ),
             *(
                 [*PAIR_WITH_RESIDUALS, "--histogram", "h.csv", "--bins", v]
@@ -1064,19 +1077,6 @@ class TestExitCodes:
         assert main(["solve-joint", str(path), "1", "0", "--labels", str(labels)]) == 3
         assert "names body 99, not in the session (bodies 0..1)" in capsys.readouterr().err
 
-    def test_calibrate_length_guard_is_not_triggered_by_cli(
-        self, tmp_path, capsys
-    ):
-        # both tracks come from one session, so lengths always agree;
-        # a degenerate empty known distance still parses as exit 2
-        session, _ = generate(rigid_pair_spec(frames=10, seed=98))
-        path = tmp_path / "pair.csv"
-        write_session(path, session)
-        with pytest.raises(SystemExit) as exc:
-            main(["calibrate-pair", str(path), "0", "1", "--known-distance", "x"])
-        capsys.readouterr()
-        assert exc.value.code == 2
-
 
 def test_readme_table_lists_every_subcommand():
     text = README.read_text(encoding="utf-8")
@@ -1136,7 +1136,6 @@ WRITTEN = {
           "frame_count": 2,
           "seed": 3,
           "unit_distortion": 1.0,
-          "sample_interval": null,
           "root_motion": {
             "kind": "random",
             "translation_scale": 1.0,

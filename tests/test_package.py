@@ -1,4 +1,6 @@
 """The package's public names."""
+import inspect
+
 import skelfit
 
 
@@ -12,7 +14,17 @@ def test_exports_have_no_duplicates():
 
 
 def test_removed_names_stay_gone():
-    # JointFit is the one joint record; placements are stacked arrays
-    for name in ("Joint", "Transform", "relative"):
+    # JointFit is the one joint record; placements are stacked arrays;
+    # a session's tracks all share its frame count
+    for name in ("Joint", "Transform", "relative", "LengthMismatchError"):
         assert name not in skelfit.__all__
         assert not hasattr(skelfit, name)
+
+
+def test_every_exported_function_and_class_has_a_docstring():
+    for name in skelfit.__all__:
+        obj = getattr(skelfit, name)
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            doc = (obj.__doc__ or "").strip()
+            # a dataclass without a docstring is given its bare signature
+            assert doc and not doc.startswith(f"{name}("), name

@@ -90,6 +90,16 @@ class TestFitSkeleton:
         assert model.labels[0] == "torso"
         assert model.labels[5] == "forearm_r"
 
+    def test_model_labels_are_read_only(self):
+        model = SkeletonModel(
+            root=0, joints={1: make_joint(1, 0, (0, 0, 0), (0.1, 0, 0))}, labels={1: "tip"}
+        )
+        with pytest.raises(TypeError):
+            model.labels[1] = "0"
+        with pytest.raises(TypeError):
+            del model.labels[1]
+        assert model.labels == {1: "tip"}
+
     def test_labels_kept_only_for_the_model_bodies(self, linkage_clean):
         _, session, _, _ = linkage_clean
         model = fit_skeleton(session, hierarchy={0: None, 1: 0, 2: 0})
@@ -682,6 +692,35 @@ class TestSerialization:
         assert skeleton_to_dict(from_old) == skeleton_to_dict(from_new) == new
         assert from_old.root == from_new.root == 1
         assert from_old.labels == from_new.labels
+
+    @pytest.mark.parametrize("label", [None, "tip"])
+    def test_a_second_root_refused_not_dropped(self, label):
+        # the tree rule sees body 2 before the label rule could
+        model = SkeletonModel(
+            root=0,
+            joints={
+                1: make_joint(1, 0, (0, 0, 0), (0.1, 0, 0)),
+                2: make_joint(2, 1, (0, 0, 0), (0.2, 0, 0)),
+            },
+        )
+        data = skeleton_to_dict(model)
+        data["bodies"][2] = {"id": 2, "label": label, "parent": None}
+        with pytest.raises(ValueError, match=re.escape("exactly one root, found [0, 2]")):
+            dict_to_skeleton(data)
+
+    def test_root_with_an_inboard_joint_refused(self):
+        data = skeleton_to_dict(
+            SkeletonModel(root=1, joints={0: make_joint(0, 1, (0, 0, 0), (0.1, 0, 0))})
+        )
+        data["root"] = 0
+        with pytest.raises(ValueError, match="root body cannot have an inboard joint"):
+            dict_to_skeleton(data)
+
+    def test_unlisted_root_refused(self):
+        data = skeleton_to_dict(SkeletonModel(root=0, joints={}))
+        data["root"] = 5
+        with pytest.raises(ValueError, match="root 5 is not among the listed bodies"):
+            dict_to_skeleton(data)
 
     def test_a_label_given_to_two_bodies_refused(self):
         model = SkeletonModel(

@@ -358,7 +358,7 @@ class TestGenerate:
             > solve_joint(quiet, body, parent).epsilon * 100
         )
 
-    def test_labels_and_interval_propagate(self):
+    def test_labels_propagate(self):
         spec = linkage_spec(frames=20, seed=74)
         spec = SynthSpec(
             bodies=spec.bodies,
@@ -367,7 +367,6 @@ class TestGenerate:
             root_motion=spec.root_motion,
             noise=spec.noise,
             unit_distortion=spec.unit_distortion,
-            sample_interval=1.0 / 120.0,
         )
         session, _ = generate(spec)
         assert session.label_of(0) == "torso"
@@ -461,6 +460,11 @@ class TestSpecSerialization:
         with pytest.raises(InvalidSpecError):
             dict_to_spec({})
 
+    def test_null_sample_interval_of_older_files_dropped(self):
+        spec = linkage_spec(frames=5, seed=1)
+        older = {**spec_to_dict(spec), "sample_interval": None}
+        assert spec_to_dict(dict_to_spec(older)) == spec_to_dict(spec)
+
     def test_unknown_keys_rejected(self):
         # a typo like "sigma_translation" must not silently produce
         # noiseless data
@@ -510,29 +514,20 @@ class TestSpecSerialization:
                 lambda d: d["bodies"][1]["excitation"].update(max_angle="0.5"),
                 "'0.5' is not a finite JSON number",
             ),
-            # label and sample_interval were passed through unchecked
+            # label was passed through unchecked
             (
                 lambda d: d["bodies"][1].update(label=[1, 2]),
                 r"body 1: label must be a string or null, got \[1, 2\]",
             ),
             (lambda d: d["bodies"][2].update(label=7), "body 2: label must be a string or null"),
-            (
-                lambda d: d.update(sample_interval="abc"),
-                "sample_interval: 'abc' is not a finite JSON number",
+            # sample_interval is no longer read: only the null older files hold is let through
+            *(
+                (
+                    lambda d, v=v: d.update(sample_interval=v),
+                    r"unknown spec key\(s\): sample_interval",
+                )
+                for v in ("abc", True, float("inf"), -0.01, 0)
             ),
-            (
-                lambda d: d.update(sample_interval=True),
-                "sample_interval: True is not a finite JSON number",
-            ),
-            (
-                lambda d: d.update(sample_interval=float("inf")),
-                "sample_interval: inf is not a finite JSON number",
-            ),
-            (
-                lambda d: d.update(sample_interval=-0.01),
-                "sample_interval must be finite and positive",
-            ),
-            (lambda d: d.update(sample_interval=0), "sample_interval must be finite and positive"),
         ],
         ids=[
             "bool-id",
