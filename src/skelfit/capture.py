@@ -249,30 +249,25 @@ def _load_table(path, unit_scale: float) -> Optional[CaptureSession]:
             if '"' in line or not _is_header(next(csv.reader([line])), CSV_HEADER):
                 return None
             # loadtxt warns on a file with no data rows; leave those to the row parser
-            start = fh.tell()
             while (chunk := fh.read(1 << 16)) and not chunk.strip("\r\n"):
                 pass
             if not chunk:
                 return None
-            fh.seek(start)
             fd, begin = fh.fileno(), len(line)  # the header is ASCII: a byte a character
             # the rows are counted as if all were as long as the first
             row, newline, _ = chunk.lstrip("\r\n").partition("\n")
             split = _split_point(fd, begin, len(row) + 1) if newline else None
             work = None if split is None else lambda out: _send(out, _load_range(fd, *split))
             with _helper(work) as helper:
-                if helper is None:
-                    table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1, dtype=_ROW_DTYPE)
-                else:
-                    mine = _load_range(fd, begin, split[0])
-
+                end = os.fstat(fd).st_size if helper is None else split[0]
+                table = _load_range(fd, begin, end)
+                if helper is not None:
                     def table_of_both(size):  # the helper's rows are read in after these
-                        table = np.empty(len(mine) + size // _ROW_DTYPE.itemsize, _ROW_DTYPE)
-                        table[: len(mine)] = mine
-                        return table
+                        both = np.empty(len(table) + size // _ROW_DTYPE.itemsize, _ROW_DTYPE)
+                        both[: len(table)] = table
+                        return both
 
                     table = _receive(helper, table_of_both)
-                    del mine
         # a field count, token, int64 range or non-ASCII, on either side of a split
         except (ValueError, csv.Error, ChildProcessError):
             return None
@@ -681,7 +676,12 @@ class _ByteRange(io.RawIOBase):
         return True
 
     def readinto(self, buffer) -> int:
-        data = os.pread(self.fd, min(len(buffer), self.end - self.at), self.at)
+        size = min(len(buffer), self.end - self.at)
+        if hasattr(os, "pread"):
+            data = os.pread(self.fd, size, self.at)
+        else:  # Windows, which has no os.fork either, so no other process shares the offset
+            os.lseek(self.fd, self.at, os.SEEK_SET)
+            data = os.read(self.fd, size)
         buffer[: len(data)] = data
         self.at += len(data)
         return len(data)
@@ -691,6 +691,8 @@ def _load_range(fd: int, begin: int, end: int) -> np.ndarray:
     """The loadtxt table of bytes begin..end-1 of a session file, decoded as ASCII."""
     raw = io.BufferedReader(_ByteRange(fd, begin, end), 1 << 16)
     with io.TextIOWrapper(raw, encoding="ascii", newline="") as text, warnings.catch_warnings():
+        # each chunk the wrapper reads is one call of _ByteRange.readinto (8 KiB by default)
+        text._CHUNK_SIZE = 1 << 16
         # one side of a split may hold only blank lines; the no-data peek saw rows
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         return np.loadtxt(text, delimiter=",", comments=None, ndmin=1, dtype=_ROW_DTYPE)

@@ -49,7 +49,6 @@ from .solver import (
     Classification,
     calibrate_pair,
     residual_histogram,
-    residual_summary,
     solve_joint,
     write_histogram_csv,
     write_residual_csv,
@@ -132,10 +131,10 @@ def cmd_solve_joint(args) -> int:
         except ValueError as exc:  # bins is checked by argparse, so this is --bin-width
             raise UsageError(f"argument --bin-width: {exc}") from exc
     _print_fit(session, fit)
-    summary = residual_summary(fit)
-    print(f"min_m: {_fmt(summary.min)}")
-    print(f"max_m: {_fmt(summary.max)}")
-    print(f"mean_m: {_fmt(summary.mean)}")
+    residuals = fit.residual_per_frame
+    print(f"min_m: {_fmt(residuals.min())}")
+    print(f"max_m: {_fmt(residuals.max())}")
+    print(f"mean_m: {_fmt(residuals.mean())}")
     if args.output:
         write_json(args.output, _fit_report(session, fit))
     if args.residuals:

@@ -42,13 +42,9 @@ class FitMatrix:
 
     epsilon: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return self.epsilon.shape[0]
-
     def is_complete(self) -> bool:
         """True when every off-diagonal error is finite."""
-        off_diag = ~np.eye(self.size, dtype=bool)
+        off_diag = ~np.eye(len(self.epsilon), dtype=bool)
         return bool(np.isfinite(self.epsilon[off_diag]).all())
 
 
@@ -227,11 +223,10 @@ class HierarchyResult:
     """Oriented spanning tree over the bodies.
 
     parent maps each body to its parent index, with None standing for
-    the world frame (only the root maps to None).
+    the world frame (only the root maps to None); the root is its first key.
     """
 
     parent: dict[int, Optional[int]]
-    root: int
     tree_edges: list[tuple[int, int]]
     total_epsilon: float
     unused_low_error_edges: list[tuple[int, int, float]]
@@ -246,7 +241,7 @@ def infer_hierarchy(fits: FitMatrix, root: Optional[int] = None) -> HierarchyRes
     DEFAULT_LOOP_FACTOR times the largest tree-edge error are returned
     as possible unmodeled loops.
     """
-    m = fits.size
+    m = len(fits.epsilon)
     if not fits.is_complete():
         raise IncompleteMatrixError("fit matrix has missing entries")
     if root is None:
@@ -266,7 +261,6 @@ def infer_hierarchy(fits: FitMatrix, root: Optional[int] = None) -> HierarchyRes
 
     return HierarchyResult(
         parent={b: tree[b] for b in tree_order(tree)},
-        root=root,
         tree_edges=edges,
         total_epsilon=total,
         unused_low_error_edges=[(a, b, w) for w, a, b in low_edges if (a, b) not in in_tree],
@@ -330,7 +324,7 @@ def tree_order(parent: Mapping[int, Optional[int]]) -> list[int]:
 
 def write_fit_matrix_csv(path, fits: FitMatrix):
     """Write one `body_i,body_j,epsilon_m` row per pair; OSError if it cannot be written."""
-    m = fits.size
+    m = len(fits.epsilon)
     rows = ([i, j, repr(float(fits.epsilon[i, j]))] for i in range(m) for j in range(i + 1, m))
     write_csv(path, "body_i,body_j,epsilon_m", rows)
 

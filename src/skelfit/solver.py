@@ -68,11 +68,6 @@ class JointFit:
     singular_values: Optional[np.ndarray] = None
     residual_per_frame: Optional[np.ndarray] = None
 
-    @property
-    def u(self) -> np.ndarray:
-        """Stacked solution vector [c; l]."""
-        return np.concatenate([self.c, self.l])
-
 
 def _tracks(session: CaptureSession, body_a: int, body_b: int):
     if body_a == body_b:
@@ -212,19 +207,13 @@ def calibrate_pair(
     return PairCalibration(mean_m=mean, std_m=std, scale=scale, distances=d)
 
 
-@dataclass(frozen=True)
-class ResidualSummary:
-    """Least, greatest and mean per-frame residual; the RMS is JointFit.epsilon."""
-
-    min: float
-    max: float
-    mean: float
-
-
-def residual_summary(fit: JointFit) -> ResidualSummary:
-    """Min, max and mean of solve_joint's per-frame residuals; AttributeError if it has none."""
-    r = fit.residual_per_frame
-    return ResidualSummary(min=float(r.min()), max=float(r.max()), mean=float(r.mean()))
+def _residuals(fit: JointFit) -> np.ndarray:
+    if fit.residual_per_frame is None:
+        raise ValueError(
+            f"joint {fit.child} -> {fit.parent} has no per-frame residuals "
+            "(only solve_joint makes them)"
+        )
+    return fit.residual_per_frame
 
 
 @dataclass(frozen=True)
@@ -249,13 +238,14 @@ def residual_histogram(
     Magnitudes are absolute values, so the distribution is one-sided by
     construction.  bin_width overrides the bin count when given.  More
     than MAX_HISTOGRAM_BINS bins, asked for directly or implied by
-    bin_width, raise ValueError before anything is allocated.
+    bin_width, raise ValueError before anything is allocated, as does a
+    fit that carries no residuals.
     """
     if not isinstance(bins, numbers.Integral) or not 1 <= bins <= MAX_HISTOGRAM_BINS:
         raise ValueError(
             f"bins must be a positive integer at most {MAX_HISTOGRAM_BINS}, got {bins!r}"
         )
-    r = fit.residual_per_frame
+    r = _residuals(fit)
     top = float(r.max())
     if bin_width is not None:
         if not 0.0 < bin_width < math.inf:
@@ -275,7 +265,8 @@ def residual_histogram(
 
 
 def write_residual_csv(path, fit: JointFit):
-    rows = ([k, repr(float(r))] for k, r in enumerate(fit.residual_per_frame))
+    residuals = _residuals(fit)  # before the file is opened, so a refusal writes nothing
+    rows = ([k, repr(float(r))] for k, r in enumerate(residuals))
     write_csv(path, "frame,residual_m", rows)
 
 

@@ -166,14 +166,15 @@ def test_4_minimum_norm(capsys):
     for scale in (1e-3, 1e-2, 0.1, 1.0):
         best = min(best, min(norm_sq(delta + d) for d in rng.normal(scale=scale, size=(400, 3))))
 
-    gap = abs(math.sqrt(float(np.dot(fit.u, fit.u))) - math.sqrt(best))
+    u = np.concatenate([fit.c, fit.l])
+    gap = abs(math.sqrt(float(np.dot(u, u))) - math.sqrt(best))
     ok = fit.classification is Classification.RIGID and gap < 1e-9
     report(
         capsys,
         4,
         "minimum-norm",
         ok,
-        f"classification {fit.classification}, |u| {np.linalg.norm(fit.u):.6f} m, "
+        f"classification {fit.classification}, |u| {np.linalg.norm(u):.6f} m, "
         f"oracle gap {gap:.3g} m",
     )
 

@@ -786,6 +786,16 @@ class TestHelper:
         assert forks == [0]
         assert_no_child_left()
 
+    def test_without_pread_reads_in_one_process(self, tmp_path, monkeypatch):
+        # as on Windows, which has neither os.pread nor os.fork
+        path = tmp_path / "s.csv"
+        write_session(path, small_session(n=40, m=3, seed=16))
+        expected = outcome(load_session, path, 1.0)
+        monkeypatch.delattr(os, "fork", raising=False)
+        monkeypatch.delattr(os, "pread")
+        assert capture._load_table(path, 1.0) is not None
+        assert_same_outcome(outcome(load_session, path, 1.0), expected)
+
     @pytest.mark.parametrize("death", ["exit", "mid-message"])
     def test_helper_failure_fails_the_write(self, tmp_path, monkeypatch, death):
         forks = force_helper(monkeypatch)

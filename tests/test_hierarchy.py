@@ -137,7 +137,6 @@ class TestInvariances:
         assert at3.tree_edges == at0.tree_edges
         assert at3.total_epsilon == at0.total_epsilon
         assert at3.parent[3] is None
-        assert at3.root == 3
         # orientation stays a valid tree: every body reaches the root
         for i in range(6):
             seen = set()
@@ -222,7 +221,7 @@ class TestFitMatrixFromSession:
     def test_matrix_is_symmetric_and_complete(self, noiseless):
         _, _, _, fits = noiseless
         W = fits.epsilon
-        assert fits.size == 6
+        assert len(fits.epsilon) == 6
         assert np.isnan(np.diag(W)).all()
         off = ~np.eye(6, dtype=bool)
         assert np.array_equal(W[off], W.T[off])

@@ -15,8 +15,15 @@ def test_exports_have_no_duplicates():
 
 def test_removed_names_stay_gone():
     # JointFit is the one joint record; placements are stacked arrays;
-    # a session's tracks all share its frame count
-    for name in ("Joint", "Transform", "relative", "LengthMismatchError"):
+    # a session's tracks all share its frame count; a fit's residuals are one array
+    for name in (
+        "Joint",
+        "Transform",
+        "relative",
+        "LengthMismatchError",
+        "ResidualSummary",
+        "residual_summary",
+    ):
         assert name not in skelfit.__all__
         assert not hasattr(skelfit, name)
 

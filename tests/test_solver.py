@@ -9,20 +9,21 @@ from hypothesis import strategies as st
 from skelfit.capture import BodyTrack, CaptureSession
 from skelfit.errors import AllZeroError, DegenerateInputError
 from skelfit.rigid import rotation_about_axis
+from skelfit.skeleton import load_skeleton, save_skeleton
 from skelfit.solver import (
     MAX_HISTOGRAM_BINS,
     NOISELESS_RANK_TOL,
     Classification,
+    JointFit,
     assemble_system,
     calibrate_pair,
     classify_rank,
     residual_histogram,
-    residual_summary,
     solve_joint,
     write_histogram_csv,
     write_residual_csv,
 )
-from skelfit.synth import generate, rigid_pair_spec
+from skelfit.synth import generate, rigid_pair_spec, truth_model
 
 from conftest import haar_rotations, hinge_relative_rotations, line_angle, manual_pair_session
 
@@ -112,7 +113,7 @@ class TestRecovery:
         session = CaptureSession((BodyTrack(0, R, t), BodyTrack(1, R.copy(), t.copy())), 40)
         fit = solve_joint(session, 1, 0)
         assert fit.classification is Classification.RIGID
-        assert np.linalg.norm(fit.u) < 1e-12
+        assert np.linalg.norm(np.concatenate([fit.c, fit.l])) < 1e-12
 
     def test_epsilon_is_rms_of_per_frame_norms(self):
         session = manual_pair_session((0.1, 0.0, 0.0), (0.2, 0.0, 0.0), n=30, seed=7)
@@ -270,12 +271,14 @@ class TestMinimumNorm:
 
         best = quadratic_descent(norm_sq, 3)
         assert np.linalg.norm(best) < 1e-9
-        assert norm_sq(best) >= np.dot(fit.u, fit.u) - 1e-12
+        u = np.concatenate([fit.c, fit.l])
+        assert norm_sq(best) >= np.dot(u, u) - 1e-12
 
     def test_sampled_shifts_cannot_shrink_norm(self):
         session, mount = self.rigid_session()
         fit = solve_joint(session, 1, 0, rank_tol=NOISELESS_RANK_TOL)
-        base = float(np.dot(fit.u, fit.u))
+        u = np.concatenate([fit.c, fit.l])
+        base = float(np.dot(u, u))
         rng = np.random.default_rng(15)
         for scale in (1e-3, 1e-2, 0.1, 1.0):
             deltas = rng.normal(scale=scale, size=(500, 3))
@@ -379,7 +382,7 @@ class TestSymmetry:
         )
         fit = solve_joint(noisy, 1, 0)
         A, b = assemble_system(noisy, 1, 0)
-        gradient = A.T @ (A @ fit.u - b)
+        gradient = A.T @ (A @ np.concatenate([fit.c, fit.l]) - b)
         bound = 1e-8 * np.linalg.norm(A) * max(np.linalg.norm(b), 1.0)
         assert np.linalg.norm(gradient) < bound
 
@@ -438,10 +441,6 @@ class TestResidualReports:
 
     def test_summary_stats(self):
         fit = self.noisy_fit()
-        summary = residual_summary(fit)
-        assert summary.min == pytest.approx(float(fit.residual_per_frame.min()))
-        assert summary.max == pytest.approx(float(fit.residual_per_frame.max()))
-        assert summary.mean == pytest.approx(float(fit.residual_per_frame.mean()))
         assert fit.epsilon == np.sqrt(np.mean(fit.residual_per_frame**2))
 
     def test_histogram_counts_and_support(self):
@@ -504,6 +503,24 @@ class TestResidualReports:
         assert back.tobytes() == fit.residual_per_frame.tobytes()
         frames = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
         assert frames == [str(k) for k in range(200)]
+
+    @pytest.mark.parametrize("source", ["hand-built", "skeleton JSON", "synth truth"])
+    def test_fit_without_residuals_refused(self, tmp_path, source):
+        truth = truth_model(rigid_pair_spec())
+        if source == "hand-built":
+            fit = JointFit(1, 0, np.zeros(3), np.zeros(3), 0.0, Classification.SPHERICAL)
+        elif source == "skeleton JSON":
+            save_skeleton(tmp_path / "skeleton.json", truth)
+            fit = load_skeleton(tmp_path / "skeleton.json").joints[1]
+        else:
+            fit = truth.joints[1]
+        message = r"joint 1 -> 0 has no per-frame residuals \(only solve_joint makes them\)"
+        with pytest.raises(ValueError, match=message):
+            residual_histogram(fit)
+        path = tmp_path / "resid.csv"
+        with pytest.raises(ValueError, match=message):
+            write_residual_csv(path, fit)
+        assert not path.exists()
 
     def test_histogram_csv(self, tmp_path):
         fit = self.noisy_fit()
