@@ -49,8 +49,8 @@ the bytes are repr's by construction.
 
 Every other CSV or JSON file goes through `csv_records`, `write_csv`,
 `read_json` and `write_json`, as UTF-8; bad text raises ParseError naming
-the file.  `json_integer` refuses a bool, float or string as an integer,
-and `json_number` refuses a bool, string, null, NaN or inf as a number.
+the file.  `json_integer` refuses a bool, float or string as an integer, and
+`json_number` (`json_numbers` in arrays) a bool, string, null, NaN or inf.
 """
 from __future__ import annotations
 
@@ -792,6 +792,20 @@ def json_number(value) -> float:
     if not math.isfinite(number):
         raise ValueError(f"{value!r} is not a finite JSON number")
     return number
+
+
+def json_numbers(value):
+    """value with every number in it, at any depth of arrays, through json_number."""
+    if isinstance(value, list):
+        return [json_numbers(v) for v in value]
+    return json_number(value)
+
+
+def json_array(value) -> list:
+    """A JSON array as a list; ValueError for any other value."""
+    if not isinstance(value, list):
+        raise ValueError(f"{value!r} is not a JSON array")
+    return value
 
 
 def write_labels(path, labels: Mapping[int, str]):

@@ -13,8 +13,8 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .capture import BodyTrack, CaptureSession, json_integer, json_number, read_json, write_json
-from .capture import _check_labels
+from .capture import BodyTrack, CaptureSession, read_json, write_json
+from .capture import _check_labels, json_array, json_integer, json_number, json_numbers
 from .errors import MissingRotationError, NotAdjacentError, ParseError
 from .hierarchy import build_fit_matrix, infer_hierarchy, tree_order
 from .rigid import _abs_max, cofactors, scale_frames
@@ -348,9 +348,9 @@ def skeleton_to_dict(model: SkeletonModel) -> dict:
 
 
 def _vector3(value) -> np.ndarray:
-    v = np.array(value, dtype=np.float64)
-    if v.shape != (3,) or not np.isfinite(v).all():
-        raise ValueError(f"{value!r} is not a finite 3-vector")
+    v = np.array(json_numbers(value), dtype=np.float64)
+    if v.shape != (3,):
+        raise ValueError(f"{value!r} is not a 3-vector")
     return v
 
 
@@ -366,7 +366,7 @@ def _field(entry: dict, key: str, where: str, convert):
         raise ParseError(f"{where}: missing key {key!r}")
     try:
         return convert(entry[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ParseError(f"{where}: bad {key}: {exc}") from None
 
 
@@ -377,7 +377,7 @@ def dict_to_skeleton(data: dict) -> SkeletonModel:
     joints: dict[int, JointFit] = {}
     labels: dict[int, str] = {}
     parents: dict[int, Optional[int]] = {}
-    for entry in _field(data, "bodies", "skeleton", list):
+    for entry in _field(data, "bodies", "skeleton", json_array):
         body = _field(entry, "id", "body entry", json_integer)
         where = f"body {body}"
         if body in parents:

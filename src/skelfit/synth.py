@@ -18,13 +18,14 @@ Rotations come from `rigid.quaternion_matrix` (Haar draws) and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .capture import BodyTrack, CaptureSession, json_integer, json_number, read_json, write_json
-from .capture import _check_labels
+from .capture import BodyTrack, CaptureSession, read_json, write_json
+from .capture import _check_labels, json_array, json_integer, json_number, json_numbers
 from .errors import InvalidSpecError
 from .hierarchy import tree_order
 from .rigid import cofactors, orthonormality_error, quaternion_matrix, rotation_about_axis
@@ -464,79 +465,66 @@ def spec_to_dict(spec: SynthSpec) -> dict:
     }
 
 
-def _check_keys(mapping: dict, allowed: frozenset, where: str) -> None:
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+def _read(cls, kind: str, data):
+    """cls from a JSON object (null reads as {}), passing only the keys it holds,
+    so each absent key takes cls's own default; ValueError names the key at fault."""
+    data = {} if data is None else data
+    if not isinstance(data, dict):
+        raise ValueError(f"{data!r} is not a JSON object")
+    names = {"id" if f.name == "body_id" else f.name: f for f in fields(cls)}
     # a misspelled key would otherwise fall back to its default silently
-    unknown = sorted(set(mapping) - allowed)
+    unknown = sorted(set(data) - set(names))
     if unknown:
-        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+        raise ValueError(f"unknown {kind} key(s): {', '.join(unknown)}")
+    kwargs = {}
+    for key, f in names.items():
+        if key in data:
+            convert = _CONVERT.get(key)
+            try:
+                kwargs[f.name] = data[key] if convert is None else convert(data[key])
+            except (ValueError, RecursionError) as exc:  # RecursionError: arrays nested too deep
+                raise ValueError(f"bad {key}: {exc}") from None
+        elif f.default is MISSING:
+            raise ValueError(f"missing key {key!r}")
+    return cls(**kwargs)
 
 
-_TOP_KEYS = frozenset(("bodies", "frame_count", "seed", "root_motion", "noise", "unit_distortion"))
-_BODY_KEYS = frozenset(("id", "parent", "label", "c", "l", "excitation"))
-_EXCITATION_KEYS = frozenset(("kind", "max_angle", "axis", "mount", "rotations"))
-_ROOT_MOTION_KEYS = frozenset(("kind", "translation_scale", "rotate"))
-_NOISE_KEYS = frozenset(("sigma_t", "sigma_r"))
+def _bodies(value) -> list[SynthBody]:
+    bodies = []
+    for i, entry in enumerate(json_array(value)):
+        try:
+            bodies.append(_read(SynthBody, "body", entry))
+        except ValueError as exc:
+            raise ValueError(f"body {i}: {exc}") from None
+    return bodies
 
 
-def _spec_number(value, field: str) -> float:
-    try:
-        return json_number(value)
-    except ValueError as exc:
-        raise ValueError(f"{field}: {exc}") from None
+# the converter of each numeric or nested key; its dataclass checks any other value
+_CONVERT = {
+    **dict.fromkeys(("frame_count", "seed", "id"), json_integer),
+    **dict.fromkeys(("unit_distortion", "translation_scale", "sigma_t", "sigma_r"), json_number),
+    **dict.fromkeys(("c", "l"), json_numbers),
+    **dict.fromkeys(("axis", "mount", "rotations"), _optional(json_numbers)),
+    "parent": _optional(json_integer),
+    "max_angle": _optional(json_number),
+    "bodies": _bodies,
+    "excitation": partial(_read, Excitation, "excitation"),
+    "root_motion": partial(_read, RootMotion, "root_motion"),
+    "noise": partial(_read, NoiseSpec, "noise"),
+}
 
 
 def dict_to_spec(data: dict) -> SynthSpec:
+    if isinstance(data, dict) and "sample_interval" in data and data["sample_interval"] is None:
+        # spec.json files once held this null; any other value is an unknown key
+        data = {k: v for k, v in data.items() if k != "sample_interval"}
     try:
-        if "sample_interval" in data and data["sample_interval"] is None:
-            # spec.json files once held this null; any other value is an unknown key
-            data = {k: v for k, v in data.items() if k != "sample_interval"}
-        _check_keys(data, _TOP_KEYS, "spec")
-        bodies = []
-        for entry in data["bodies"]:
-            _check_keys(entry, _BODY_KEYS, "body")
-            exc_data = entry.get("excitation") or {}
-            _check_keys(exc_data, _EXCITATION_KEYS, "excitation")
-            exc = Excitation(
-                kind=exc_data.get("kind", "spherical"),
-                max_angle=None
-                if exc_data.get("max_angle") is None
-                else _spec_number(exc_data["max_angle"], "max_angle"),
-                axis=exc_data.get("axis"),
-                mount=exc_data.get("mount"),
-                rotations=exc_data.get("rotations"),
-            )
-            bodies.append(
-                SynthBody(
-                    body_id=json_integer(entry["id"]),
-                    parent=None if entry["parent"] is None else json_integer(entry["parent"]),
-                    c=entry.get("c", (0.0, 0.0, 0.0)),
-                    l=entry.get("l", (0.0, 0.0, 0.0)),
-                    excitation=exc,
-                    label=entry.get("label"),
-                )
-            )
-        motion_data = data.get("root_motion") or {}
-        _check_keys(motion_data, _ROOT_MOTION_KEYS, "root_motion")
-        noise_data = data.get("noise") or {}
-        _check_keys(noise_data, _NOISE_KEYS, "noise")
-        return SynthSpec(
-            bodies=tuple(bodies),
-            frame_count=json_integer(data["frame_count"]),
-            seed=json_integer(data.get("seed", 0)),
-            root_motion=RootMotion(
-                kind=motion_data.get("kind", "random"),
-                translation_scale=_spec_number(
-                    motion_data.get("translation_scale", 1.0), "translation_scale"
-                ),
-                rotate=motion_data.get("rotate", True),
-            ),
-            noise=NoiseSpec(
-                sigma_t=_spec_number(noise_data.get("sigma_t", 0.0), "sigma_t"),
-                sigma_r=_spec_number(noise_data.get("sigma_r", 0.0), "sigma_r"),
-            ),
-            unit_distortion=_spec_number(data.get("unit_distortion", 1.0), "unit_distortion"),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return _read(SynthSpec, "spec", data)
+    except ValueError as exc:
         raise InvalidSpecError(f"malformed synth spec: {exc}") from exc
 
 
@@ -547,7 +535,4 @@ def save_spec(path, spec: SynthSpec):
 
 def load_spec(path) -> SynthSpec:
     """Read spec.json; ParseError for malformed JSON, InvalidSpecError for a bad spec."""
-    data = read_json(path)
-    if not isinstance(data, dict):
-        raise InvalidSpecError("synth spec must be a JSON object")
-    return dict_to_spec(data)
+    return dict_to_spec(read_json(path))

@@ -902,6 +902,31 @@ class TestExitCodes:
                 lambda data: data["bodies"][0].update(label=7),
                 "body 0: bad label: 7 is not a JSON string",
             ),
+            # list() once split "ab" into two entries, and np.array took strings and booleans
+            (
+                lambda data: data.update(bodies="ab"),
+                "skeleton: bad bodies: 'ab' is not a JSON array",
+            ),
+            (
+                lambda data: data.update(bodies={"id": 0}),
+                "skeleton: bad bodies: {'id': 0} is not a JSON array",
+            ),
+            (
+                lambda data: data["bodies"][1].update(c=[True, "0.5", 0]),
+                "body 1: bad c: True is not a finite JSON number",
+            ),
+            (
+                lambda data: data["bodies"][1].update(l=[0.1, 0.2, "0.3"]),
+                "body 1: bad l: '0.3' is not a finite JSON number",
+            ),
+            (
+                lambda data: data["bodies"][1].update(axis_child=["1", 0, 0]),
+                "body 1: bad axis_child: '1' is not a finite JSON number",
+            ),
+            (
+                lambda data: data["bodies"][1].update(axis_parent=[0, False, 1]),
+                "body 1: bad axis_parent: False is not a finite JSON number",
+            ),
         ],
         ids=[
             "no-root",
@@ -921,6 +946,12 @@ class TestExitCodes:
             "huge-int-epsilon",
             "list-label",
             "int-root-label",
+            "string-bodies",
+            "object-bodies",
+            "string-in-c",
+            "string-in-l",
+            "string-in-axis-child",
+            "bool-in-axis-parent",
         ],
     )
     def test_malformed_skeleton_json(self, pair_csv, tmp_path, capsys, damage, message):
@@ -1042,6 +1073,83 @@ class TestExitCodes:
         spec_path.write_text(json.dumps({"frame_count": 5, "bodies": []}))
         assert main(["synth", "--spec", str(spec_path), "--out-dir", str(tmp_path)]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (
+                lambda d: d["bodies"][1].update(c=["0.01", True, 0]),
+                "bad bodies: body 1: bad c: '0.01' is not a finite JSON number",
+            ),
+            (
+                lambda d: d["bodies"][1].update(l=[True, 0, 0]),
+                "bad bodies: body 1: bad l: True is not a finite JSON number",
+            ),
+            (
+                lambda d: d["bodies"][1]["excitation"].update(kind="hinge", axis=["1", 0, 0]),
+                "bad bodies: body 1: bad excitation: bad axis: '1' is not a finite JSON number",
+            ),
+            (
+                lambda d: d["bodies"][1]["excitation"].update(
+                    mount=[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+                ),
+                "bad bodies: body 1: bad excitation: bad mount: '1' is not a finite JSON number",
+            ),
+            (
+                lambda d: d["bodies"][1]["excitation"].update(
+                    kind="scripted", rotations=[[[1, 0, 0], [0, 1, 0], [0, 0, "1"]]] * 5
+                ),
+                "bad bodies: body 1: bad excitation: bad rotations: "
+                "'1' is not a finite JSON number",
+            ),
+            (lambda d: d.update(bodies="nope"), "bad bodies: 'nope' is not a JSON array"),
+            (lambda d: d["bodies"].append(7), "bad bodies: body 6: 7 is not a JSON object"),
+            (
+                lambda d: d["bodies"][1].update(excitation="hinge"),
+                "bad bodies: body 1: bad excitation: 'hinge' is not a JSON object",
+            ),
+            (lambda d: d.update(noise=[1]), "bad noise: [1] is not a JSON object"),
+            (lambda d: d["bodies"][1].pop("parent"), "bad bodies: body 1: missing key 'parent'"),
+            (lambda d: d.pop("frame_count"), "missing key 'frame_count'"),
+            (lambda d: d.pop("bodies"), "missing key 'bodies'"),
+            (lambda d: d["bodies"][0].pop("id"), "bad bodies: body 0: missing key 'id'"),
+            (lambda d: d.update(bodies={"0": {}}), "bad bodies: {'0': {}} is not a JSON array"),
+            # `or {}` once read these as all defaults
+            (lambda d: d.update(noise=[]), "bad noise: [] is not a JSON object"),
+            (lambda d: d.update(root_motion=0), "bad root_motion: 0 is not a JSON object"),
+            (
+                lambda d: d["bodies"][1].update(excitation=""),
+                "bad bodies: body 1: bad excitation: '' is not a JSON object",
+            ),
+        ],
+        ids=[
+            "c",
+            "l",
+            "axis",
+            "mount",
+            "rotations",
+            "string-bodies",
+            "number-body",
+            "string-excitation",
+            "list-noise",
+            "no-parent",
+            "no-frame-count",
+            "no-bodies",
+            "no-id",
+            "object-bodies",
+            "empty-list-noise",
+            "zero-root-motion",
+            "empty-string-excitation",
+        ],
+    )
+    def test_malformed_spec_exits_3(self, tmp_path, capsys, damage, message):
+        data = spec_to_dict(linkage_spec(frames=5, seed=1))
+        damage(data)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(data))
+        assert main(["synth", "--spec", str(spec_path), "--out-dir", str(tmp_path / "o")]) == 3
+        assert f"error: malformed synth spec: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_negative_seed(self, tmp_path, capsys):
         args = ["synth", "--preset", "rigid-pair", "--out-dir", str(tmp_path / "o"), "--seed", "-1"]

@@ -2,7 +2,7 @@
 import copy
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -563,3 +563,103 @@ class TestSpecSerialization:
         )
         back = dict_to_spec(spec_to_dict(spec))
         assert back.noise == NoiseSpec(0.0, 0.0)
+
+
+def _hinged_pair() -> dict:
+    """spec.json of a root and one hinged, mounted body: every excitation field set."""
+    mount = rotation_about_axis(np.array([0.0, 1.0, 0.0]), 0.4)
+    return spec_to_dict(
+        SynthSpec(
+            bodies=(
+                SynthBody(0, None, label="base"),
+                SynthBody(
+                    1,
+                    0,
+                    c=(0.01, 0.02, 0.0),
+                    l=(0.3, 0.0, 0.1),
+                    # a hinge carries rotations without playing them
+                    excitation=Excitation(
+                        kind="hinge",
+                        max_angle=0.9,
+                        axis=(0, 0, 1),
+                        mount=mount,
+                        rotations=np.tile(mount, (4, 1, 1)),
+                    ),
+                    label="arm",
+                ),
+            ),
+            frame_count=4,
+            seed=5,
+            root_motion=RootMotion(kind="static", translation_scale=0.5, rotate=False),
+            noise=NoiseSpec(sigma_t=0.001, sigma_r=0.002),
+            unit_distortion=2.0,
+        )
+    )
+
+
+# each spec dataclass, where its object sits in spec.json, and where it sits in the spec
+_SPEC_OBJECTS = [
+    (SynthSpec, lambda d: d, lambda s: s),
+    (SynthBody, lambda d: d["bodies"][1], lambda s: s.bodies[1]),
+    (Excitation, lambda d: d["bodies"][1]["excitation"], lambda s: s.bodies[1].excitation),
+    (RootMotion, lambda d: d["root_motion"], lambda s: s.root_motion),
+    (NoiseSpec, lambda d: d["noise"], lambda s: s.noise),
+]
+_DEFAULTED = [
+    (cls, in_json, in_spec, f)
+    for cls, in_json, in_spec in _SPEC_OBJECTS
+    for f in fields(cls)
+    if f.default is not MISSING
+]
+
+
+class TestSpecReader:
+    @pytest.mark.parametrize(
+        "cls, in_json, in_spec, field",
+        _DEFAULTED,
+        ids=[f"{cls.__name__}.{f.name}" for cls, _, _, f in _DEFAULTED],
+    )
+    def test_absent_key_reads_the_dataclass_default(self, cls, in_json, in_spec, field):
+        data = _hinged_pair()
+        if field.name == "axis":  # a hinge needs one; a cone reads the absent axis
+            in_json(data)["kind"] = "spherical"
+        del in_json(data)[field.name]
+        got = getattr(in_spec(dict_to_spec(data)), field.name)
+        if isinstance(got, np.ndarray):
+            assert np.array_equal(got, field.default)
+        else:
+            assert got == field.default
+
+    def test_every_defaulted_field_is_set_in_the_fixture(self):
+        # otherwise an absent key could read the default by chance
+        spec = dict_to_spec(_hinged_pair())
+        for _, _, in_spec, field in _DEFAULTED:
+            got = getattr(in_spec(spec), field.name)
+            if isinstance(got, np.ndarray) or field.default is None:
+                assert got is not None, field.name
+                assert not np.array_equal(got, field.default), field.name
+            else:
+                assert got != field.default, field.name
+
+    @pytest.mark.parametrize(
+        "set_null, read, cls",
+        [
+            (
+                lambda d: d["bodies"][1].update(excitation=None),
+                lambda s: s.bodies[1].excitation,
+                Excitation,
+            ),
+            (lambda d: d.update(root_motion=None), lambda s: s.root_motion, RootMotion),
+            (lambda d: d.update(noise=None), lambda s: s.noise, NoiseSpec),
+        ],
+        ids=["excitation", "root_motion", "noise"],
+    )
+    def test_null_object_reads_as_all_defaults(self, set_null, read, cls):
+        data = _hinged_pair()
+        set_null(data)
+        assert read(dict_to_spec(data)) == cls()
+
+    def test_a_spec_that_is_not_an_object(self):
+        message = r"^malformed synth spec: \[1\] is not a JSON object$"
+        with pytest.raises(InvalidSpecError, match=message):
+            dict_to_spec([1])
