@@ -47,6 +47,22 @@ whose mantissa is a power of two, an exact tie, a round-trip test within
 a relative 2**-40 of its bound, or a rounding that carries to 10**p.  So
 the bytes are repr's by construction.
 
+A good session file's table is kept in a cache, so the next command to
+read the same bytes loads it in milliseconds instead of parsing it
+again.  `_load_table` stores the unscaled (m, n, 12) float64 table of a
+regular file as `<size>-<key>.npy` in `_cache_dir()`, and looks the key
+up before it parses.  The key is a SHA-256 digest of `_CACHE_TAG`, the
+header line, and each parse range's own digest, which covers the
+range's offset and bytes.  The parse digests each range as it reads it
+(`_ByteRange`, in this process and in the helper), so the stored key
+names exactly the bytes that were parsed, even if the file changes
+during the load.  The lookup digests the same ranges before the parse,
+but only when an entry for a file of the same size exists.  A hit goes
+through the same track checks as a parse (`_session_of`), and a track
+that fails them sends the file to the row parser.  The cache keeps the
+`_CACHE_ENTRIES` most recently used tables; any OSError in it, or an
+entry that is not such a table, is a miss.
+
 Every other CSV or JSON file goes through `csv_records`, `write_csv`,
 `read_json` and `write_json`, as UTF-8; bad text raises ParseError naming
 the file.  `json_integer` refuses a bool, float or string as an integer, and
@@ -56,11 +72,15 @@ from __future__ import annotations
 
 import csv
 import functools
+import hashlib
 import io
 import json
 import math
 import os
 import signal
+import stat
+import tempfile
+import time
 import warnings
 from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass, replace
@@ -94,6 +114,12 @@ _WRITE_BLOCK_ROWS = 1024  # rows write_session gathers at once; bounds its extra
 # load_session
 _HELPER_MIN_ROWS = 8192
 _PIPE_BYTES = 1 << 20  # the helper's pipe, so it can format ahead of the writes (Linux's limit)
+
+# part of every cache key: bump it when the set of files the parse accepts,
+# or the layout of the stored table, changes
+_CACHE_TAG = b"skelfit session table 1\n"
+_CACHE_ENTRIES = 8  # tables the cache keeps, the most recently used
+_STALE_TEMP_S = 3600.0  # a temp file this old in the cache was left by a killed writer
 
 SHORT_SESSION_FRAMES = 30  # advisory floor for a reliable fit
 ORTHO_WARN_ATOL = 1e-3  # advisory bound on sensor rotations' orthonormality
@@ -241,6 +267,9 @@ def _load_table(path, unit_scale: float) -> Optional[CaptureSession]:
     A large file is split at the first "\\n" after the middle of its data:
     a forked helper parses the rows after the split while this process
     parses those before it, and a refusal on either side returns None.
+
+    A regular file's table is first looked up in the cache; a table the
+    parse made is stored there once every track has been built from it.
     """
     with open(path, newline="", encoding="ascii") as fh:
         try:
@@ -257,10 +286,19 @@ def _load_table(path, unit_scale: float) -> Optional[CaptureSession]:
             # the rows are counted as if all were as long as the first
             row, newline, _ = chunk.lstrip("\r\n").partition("\n")
             split = _split_point(fd, begin, len(row) + 1) if newline else None
-            work = None if split is None else lambda out: _send(out, _load_range(fd, *split))
+            info = os.fstat(fd)
+            end = info.st_size if split is None else split[1]
+            cache = _cache_dir() if stat.S_ISREG(info.st_mode) else None
+            if cache is not None:
+                ranges = [(begin, end)] if split is None else [(begin, split[0]), split]
+                data = _cached_table(cache, fd, line, ranges)
+                if data is not None:
+                    return _session_of(data, unit_scale)
+            work = None if split is None else lambda out: _send_range(out, fd, *split)
             with _helper(work) as helper:
-                end = os.fstat(fd).st_size if helper is None else split[0]
-                table = _load_range(fd, begin, end)
+                sha = _range_sha(begin)
+                table = _load_range(fd, begin, end if helper is None else split[0], sha)
+                digests = [sha.digest()]
                 if helper is not None:
                     def table_of_both(size):  # the helper's rows are read in after these
                         both = np.empty(len(table) + size // _ROW_DTYPE.itemsize, _ROW_DTYPE)
@@ -268,6 +306,7 @@ def _load_table(path, unit_scale: float) -> Optional[CaptureSession]:
                         return both
 
                     table = _receive(helper, table_of_both)
+                    digests.append(bytes(_receive(helper)))
         # a field count, token, int64 range or non-ASCII, on either side of a split
         except (ValueError, csv.Error, ChildProcessError):
             return None
@@ -282,7 +321,15 @@ def _load_table(path, unit_scale: float) -> Optional[CaptureSession]:
     data = np.empty((m, n, 12))
     data[body, frame] = table["values"]
     del table, frame, body
+    session = _session_of(data, unit_scale)
+    if session is not None and cache is not None:
+        _store_table(cache, _entry_name(end, line, digests), data)
+    return session
 
+
+def _session_of(data: np.ndarray, unit_scale: float) -> Optional[CaptureSession]:
+    """The session of an unscaled (m, n, 12) table; None if a track fails BodyTrack's checks."""
+    m, n = data.shape[:2]
     tracks = []
     for b in range(m):
         with np.errstate(over="ignore"):  # BodyTrack reports an overflow as non-finite
@@ -666,11 +713,11 @@ def _split_point(fd: int, begin: int, row_bytes: int) -> Optional[tuple[int, int
 
 class _ByteRange(io.RawIOBase):
     """Bytes begin..end-1 of file fd, read with os.pread so the offset it
-    shares with a forked process never moves."""
+    shares with a forked process never moves; each read also updates `sha`."""
 
-    def __init__(self, fd: int, begin: int, end: int):
+    def __init__(self, fd: int, begin: int, end: int, sha=None):
         super().__init__()
-        self.fd, self.at, self.end = fd, begin, end
+        self.fd, self.at, self.end, self.sha = fd, begin, end, sha
 
     def readable(self) -> bool:
         return True
@@ -684,18 +731,124 @@ class _ByteRange(io.RawIOBase):
             data = os.read(self.fd, size)
         buffer[: len(data)] = data
         self.at += len(data)
+        if self.sha is not None:
+            self.sha.update(data)
         return len(data)
 
 
-def _load_range(fd: int, begin: int, end: int) -> np.ndarray:
-    """The loadtxt table of bytes begin..end-1 of a session file, decoded as ASCII."""
-    raw = io.BufferedReader(_ByteRange(fd, begin, end), 1 << 16)
+def _load_range(fd: int, begin: int, end: int, sha=None) -> np.ndarray:
+    """The loadtxt table of bytes begin..end-1 of a session file, decoded as ASCII;
+    `sha`, if given, is updated with every byte parsed."""
+    raw = io.BufferedReader(_ByteRange(fd, begin, end, sha), 1 << 16)
     with io.TextIOWrapper(raw, encoding="ascii", newline="") as text, warnings.catch_warnings():
         # each chunk the wrapper reads is one call of _ByteRange.readinto (8 KiB by default)
         text._CHUNK_SIZE = 1 << 16
         # one side of a split may hold only blank lines; the no-data peek saw rows
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         return np.loadtxt(text, delimiter=",", comments=None, ndmin=1, dtype=_ROW_DTYPE)
+
+
+def _send_range(out, fd: int, begin: int, end: int):
+    """The helper's share of a load: the table of bytes begin..end-1, then their digest."""
+    sha = _range_sha(begin)
+    _send(out, _load_range(fd, begin, end, sha))
+    _send(out, sha.digest())
+
+
+def _range_sha(begin: int):
+    """A SHA-256 of a parse range, started with the range's offset."""
+    return hashlib.sha256(begin.to_bytes(8, "little"))
+
+
+def _entry_name(size: int, header: str, digests: Sequence[bytes]) -> str:
+    """The cache entry of a session file of `size` bytes: that size, then the key, a SHA-256
+    of _CACHE_TAG, the file's header line and the digests of its parse ranges."""
+    key = hashlib.sha256(_CACHE_TAG + header.encode("ascii") + b"".join(digests)).hexdigest()
+    return f"{size}-{key}.npy"
+
+
+def _cache_dir() -> Optional[str]:
+    """The session cache: $XDG_CACHE_HOME/skelfit, or ~/.cache/skelfit.
+
+    The directory is made with mode 0700 if it is missing.  None, for no
+    cache, when it cannot be made or is not a directory that the current
+    user owns and that no group or other user can write.
+    """
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):  # unset, or relative, which the XDG spec says to ignore
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    path = os.path.join(root, "skelfit")
+    if not os.path.isabs(path) or not hasattr(os, "getuid"):  # no home; Windows
+        return None
+    try:
+        os.makedirs(path, mode=0o700, exist_ok=True)
+        info = os.stat(path)
+    except OSError:
+        return None
+    if not stat.S_ISDIR(info.st_mode) or info.st_uid != os.getuid() or info.st_mode & 0o022:
+        return None
+    return path
+
+
+def _cached_table(cache: str, fd: int, header: str, ranges) -> Optional[np.ndarray]:
+    """The cached table of file fd, whose parse ranges are `ranges`; None on a miss.
+
+    Only an entry for a file of the same size can match, so when there is
+    none the file is not read.  Otherwise each range is digested in 1 MiB
+    reads through `_ByteRange`, as the parse would read it.  A hit must be
+    a C-order float64 (m, n, 12) array with no empty axis, and its entry
+    becomes the most recently used.
+    """
+    size, buffer = ranges[-1][1], bytearray(1 << 20)
+    try:
+        if not any(name.startswith(f"{size}-") for name in os.listdir(cache)):
+            return None
+        digests = []
+        for begin, end in ranges:
+            raw = _ByteRange(fd, begin, end, _range_sha(begin))
+            while raw.readinto(buffer):
+                pass
+            digests.append(raw.sha.digest())
+        path = os.path.join(cache, _entry_name(size, header, digests))
+        with open(path, "rb") as fh:  # np.load's .npy reader, with no zip or pickle
+            data = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError, MemoryError):  # MemoryError: a huge shape
+        return None
+    if not (
+        data.dtype == np.float64
+        and data.ndim == 3
+        and data.shape[2] == 12
+        and data.size
+        and data.flags.c_contiguous
+    ):
+        return None
+    with suppress(OSError):
+        os.utime(path)
+    return data
+
+
+def _store_table(cache: str, name: str, data: np.ndarray):
+    """Store `data` as the entry `name`, then drop all but the _CACHE_ENTRIES most
+    recently used entries, and stale temp files; an OSError skips the rest."""
+    with suppress(OSError):
+        fd, temp = tempfile.mkstemp(suffix=".tmp", dir=cache)
+        try:
+            with open(fd, "wb") as fh:
+                np.save(fh, data, allow_pickle=False)
+            os.replace(temp, os.path.join(cache, name))
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(temp)
+            raise
+        entries, now = [], time.time()
+        with os.scandir(cache) as listing:
+            for entry in listing:
+                if entry.name.endswith(".npy"):
+                    entries.append((entry.stat().st_mtime_ns, entry.path))
+                elif entry.name.endswith(".tmp") and now - entry.stat().st_mtime > _STALE_TEMP_S:
+                    os.unlink(entry.path)
+        for _, path in sorted(entries)[:-_CACHE_ENTRIES]:
+            os.unlink(path)
 
 
 def load_labels(path) -> dict[int, str]:

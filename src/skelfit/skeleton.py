@@ -360,9 +360,31 @@ def _json_string(value) -> str:
     return value
 
 
+# the keys skeleton_to_dict writes; a root entry may hold them all, as older files did
+_TOP_KEYS = frozenset({"root", "bodies"})
+_BODY_KEYS = frozenset(
+    {"id", "label", "parent", "c", "l", "epsilon_m", "classification", "axis_child", "axis_parent"}
+)
+
+
+def _object(value, where: str) -> dict:
+    """value, a JSON object; ParseError for any other value."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{where}: {value!r} is not a JSON object")
+    return value
+
+
+def _known_keys(entry: dict, where: str, keys: frozenset):
+    """ParseError naming the keys of entry that are not in `keys`, so a misspelled
+    field is refused, not read as absent."""
+    unknown = sorted(set(entry) - keys)
+    if unknown:
+        raise ParseError(f"{where}: unknown key(s): {', '.join(unknown)}")
+
+
 def _field(entry: dict, key: str, where: str, convert):
     """convert(entry[key]); a missing key or bad value raises ParseError."""
-    if not isinstance(entry, dict) or key not in entry:
+    if key not in entry:
         raise ParseError(f"{where}: missing key {key!r}")
     try:
         return convert(entry[key])
@@ -372,14 +394,17 @@ def _field(entry: dict, key: str, where: str, convert):
 
 def dict_to_skeleton(data: dict) -> SkeletonModel:
     """Inverse of skeleton_to_dict; ParseError names the body and field at fault.
-    ValueError unless the entries form one tree (hierarchy.tree_order) under the root."""
+    ValueError unless the entries form one tree (hierarchy.tree_order) under the root.
+    An unknown key, at the top or in a body entry, raises ParseError naming it."""
+    _known_keys(_object(data, "skeleton"), "skeleton", _TOP_KEYS)
     root = _field(data, "root", "skeleton", json_integer)
     joints: dict[int, JointFit] = {}
     labels: dict[int, str] = {}
     parents: dict[int, Optional[int]] = {}
     for entry in _field(data, "bodies", "skeleton", json_array):
-        body = _field(entry, "id", "body entry", json_integer)
+        body = _field(_object(entry, "body entry"), "id", "body entry", json_integer)
         where = f"body {body}"
+        _known_keys(entry, where, _BODY_KEYS)
         if body in parents:
             raise ParseError(f"{where}: listed twice")
         if entry.get("label") is not None:

@@ -13,6 +13,16 @@ from skelfit.capture import BodyTrack, CaptureSession
 from skelfit.rigid import DET_RTOL, rotation_about_axis
 
 
+@pytest.fixture(scope="session", autouse=True)
+def private_session_cache(tmp_path_factory):
+    """Every test, and every process a test starts, keeps its session cache in
+    a temporary directory, never in the user's own cache.  Session-scoped,
+    since Hypothesis refuses function-scoped fixtures."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
+
+
 def haar_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
     """Uniform random rotation matrices via normalized quaternions."""
     q = rng.normal(size=(n, 4))

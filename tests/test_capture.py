@@ -6,7 +6,9 @@ import os
 import re
 import signal
 import tempfile
+import threading
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -91,9 +93,31 @@ def force_helper(monkeypatch) -> list:
     return forks
 
 
+@contextmanager
+def split_if(split: bool):
+    """With split, every file that holds a "\\n" after the middle of its rows is
+    split between this process and a forked helper."""
+    with pytest.MonkeyPatch.context() as patch:
+        if split:
+            if not capture._helper_pays(capture._HELPER_MIN_ROWS):
+                pytest.skip("needs os.fork and two usable CPUs")
+            patch.setattr(capture, "_HELPER_MIN_ROWS", 0)
+        yield
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(scope="class")
+def no_session_cache():
+    """For a class of tests about the parse: no table is looked up in, or
+    stored to, the session cache.  Class-scoped, since Hypothesis refuses
+    function-scoped fixtures."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(capture, "_cache_dir", lambda: None)
+        yield
 
 
 class TestRoundTrip:
@@ -568,8 +592,11 @@ EDITED_FILES = dict(
 )
 
 
-def assert_edited_file_loads_like_row_parser(n, m, seed, edits, shuffle, newline, unit_scale):
-    """A written session, shuffled and edited, loads as the row parser reads it."""
+def assert_edited_file_loads_like_row_parser(
+    n, m, seed, edits, shuffle, newline, unit_scale, check=assert_loads_like_row_parser
+):
+    """A written session, shuffled and edited, loads as the row parser reads it
+    (or passes another check(path, unit_scale))."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.csv"
         write_session(path, small_session(n=n, m=m, seed=seed))
@@ -589,9 +616,10 @@ def assert_edited_file_loads_like_row_parser(n, m, seed, edits, shuffle, newline
             elif kind == "insert":
                 lines.insert(k, token)
         path.write_bytes(newline.join([",".join(header)] + lines).encode() + b"\n")
-        assert_loads_like_row_parser(path, unit_scale)
+        check(path, unit_scale)
 
 
+@pytest.mark.usefixtures("no_session_cache")
 class TestFastPath:
     """load_session's loadtxt pass against the row parser as the oracle."""
 
@@ -692,10 +720,7 @@ class TestFastPathSplit(TestFastPath):
 
     @pytest.fixture(scope="class", autouse=True)
     def split_every_file(self):
-        if not capture._helper_pays(capture._HELPER_MIN_ROWS):
-            pytest.skip("needs os.fork and two usable CPUs")
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(capture, "_HELPER_MIN_ROWS", 0)
+        with split_if(True):
             yield
 
     # Hypothesis runs a test from one class only, so the subclass repeats it
@@ -752,6 +777,7 @@ class TestFastPathSplit(TestFastPath):
         assert_no_child_left()
 
 
+@pytest.mark.usefixtures("no_session_cache")
 class TestHelper:
     """How write_session and load_session behave when the helper cannot run or fails."""
 
@@ -834,6 +860,281 @@ def _die_mid_message(out, payload):
 
 
 HELPER_DEATHS = {"exit": _exit_unsent, "mid-message": _die_mid_message}
+
+
+@contextmanager
+def fresh_cache():
+    """A new, empty session cache for the block; yields its directory."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", tmp)
+        yield Path(tmp) / "skelfit"
+
+
+def entries(cache: Path) -> list[str]:
+    return sorted(p.name for p in cache.glob("*.npy"))
+
+
+def refuse_parse(*args):
+    raise AssertionError("a table in the cache was parsed again")
+
+
+def assert_hit_matches_miss(path, unit_scale=1.0):
+    """From an empty cache, the first load reads as the row parser does, and so
+    does a second; a table the first load stored is not parsed again."""
+    with fresh_cache() as cache:
+        assert_loads_like_row_parser(path, unit_scale)
+        stored = entries(cache)
+        assert len(stored) <= 1
+        with pytest.MonkeyPatch.context() as patch:
+            if stored:
+                patch.setattr(capture, "_load_range", refuse_parse)
+            assert_loads_like_row_parser(path, unit_scale)
+        assert entries(cache) == stored
+    return stored
+
+
+BAD_ENTRIES = {
+    "truncated": lambda path, table: path.write_bytes(path.read_bytes()[:-8]),
+    "empty-file": lambda path, table: path.write_bytes(b""),
+    "not-npy": lambda path, table: path.write_bytes(b"frame,body\n" * 20),
+    "float32": lambda path, table: np.save(path, table.astype(np.float32)),
+    "big-endian": lambda path, table: np.save(path, table.astype(">f8")),
+    "fortran-order": lambda path, table: np.save(path, np.asfortranarray(table)),
+    "pickled-object": lambda path, table: np.save(
+        path, np.array(table.tolist(), dtype=object), allow_pickle=True
+    ),
+    "two-axes": lambda path, table: np.save(path, table.reshape(len(table), -1)),
+    "eleven-values": lambda path, table: np.save(path, table[:, :, :11].copy()),
+    "no-frames": lambda path, table: np.save(path, table[:, :0].copy()),
+}
+
+
+def save_huge_header(path, table):
+    # a shape numpy cannot allocate; reading it must fail, not take the memory
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": "<f8", "fortran_order": False, "shape": (2**28, 2**28, 12)}
+        )
+        fh.write(table.tobytes())
+
+
+BAD_ENTRIES["huge-shape"] = save_huge_header
+
+
+class TestSessionCache:
+    """load_session keeps each good file's table in the session cache: a hit
+    gives what a parse gives, bit for bit, and never what other bytes parse to."""
+
+    @pytest.mark.parametrize("split", [False, True], ids=["one-process", "split"])
+    @pytest.mark.parametrize("unit_scale", [1.0, 0.01])
+    @pytest.mark.parametrize("name", ORACLE_FILES)
+    def test_hit_matches_miss(self, tmp_path, name, unit_scale, split):
+        path = tmp_path / "s.csv"
+        text = ORACLE_FILES[name]
+        if text is None:
+            path.write_bytes(CSV_HEADER.encode() + b"\n" + GOOD_ROWS[0].encode() + b"\xff\n")
+        else:
+            path.write_bytes(text.encode())
+        with split_if(split):
+            stored = assert_hit_matches_miss(path, unit_scale)
+        assert bool(stored) == (name in FAST_PATH_READS)
+
+    @settings(max_examples=120, deadline=None)
+    @given(**EDITED_FILES, split=st.booleans())
+    def test_hit_matches_miss_on_edited_files(self, split, **example):
+        with split_if(split):
+            assert_edited_file_loads_like_row_parser(**example, check=assert_hit_matches_miss)
+
+    def test_hit_is_checked_under_its_own_unit_scale(self, tmp_path):
+        # a table stored at unit_scale 1 overflows at 1e300: the row parser names the row
+        path = tmp_path / "s.csv"
+        path.write_text(with_cell(3, 11, "1e10"))
+        with fresh_cache() as cache:
+            assert_loads_like_row_parser(path, 1.0)
+            assert len(entries(cache)) == 1
+            calls = []
+            real = capture._load_rows
+
+            def row_parser(*args):
+                calls.append(args)
+                return real(*args)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(capture, "_load_range", refuse_parse)
+                patch.setattr(capture, "_load_rows", row_parser)
+                for scale in (0.01, 1e300):
+                    got = outcome(load_session, path, scale)
+                    assert_same_outcome(got, outcome(real, path, scale))
+            assert [args[1] for args in calls] == [1e300]
+            assert got == (ParseError, f"{path} row 5: non-finite value (frame 1, body 1)")
+
+    @pytest.mark.parametrize("split", [False, True], ids=["one-process", "split"])
+    def test_file_rewritten_after_the_lookup(self, tmp_path, split):
+        # the key names the bytes parsed, not those the lookup digested
+        path = tmp_path / "s.csv"
+        sessions = [small_session(n=40, m=3, seed=21, values=v) for v in (0.25, 0.75)]
+        versions = []
+        for session in sessions:
+            write_session(path, session)
+            versions.append(path.read_bytes())
+        old, new = versions
+        assert len(old) == len(new) and old != new
+        names = []
+        for version in versions:
+            path.write_bytes(version)
+            with split_if(split), fresh_cache() as cache:
+                load_session(path)
+                names += entries(cache)
+        lookup = capture._cached_table
+
+        def rewrite_after_lookup(*args):
+            table = lookup(*args)
+            path.write_bytes(new)  # in place, so the open file now holds the new bytes
+            return table
+
+        path.write_bytes(old)
+        with split_if(split), fresh_cache() as cache, pytest.MonkeyPatch.context() as patch:
+            cache.mkdir()
+            # an entry for a file of the same size, so the lookup digests the old bytes
+            (cache / f"{len(old)}-{'0' * 64}.npy").touch()
+            patch.setattr(capture, "_cached_table", rewrite_after_lookup)
+            got = load_session(path)
+            assert names[0] not in entries(cache)
+            assert names[1] in entries(cache)
+        assert_same_outcome(session_bits(got), session_bits(sessions[1]))
+
+    @pytest.mark.parametrize("bad", BAD_ENTRIES)
+    def test_bad_entry_is_a_miss(self, tmp_path, bad):
+        path = tmp_path / "s.csv"
+        write_session(path, small_session(n=5, m=3, seed=23))
+        with fresh_cache() as cache:
+            expected = outcome(load_session, path, 1.0)
+            [name] = entries(cache)
+            table = np.load(cache / name)
+            BAD_ENTRIES[bad](cache / name, table)
+            assert_same_outcome(outcome(load_session, path, 1.0), expected)
+            assert entries(cache) == [name]
+            rewritten = np.load(cache / name, allow_pickle=False)
+            assert rewritten.dtype == np.float64 and rewritten.flags.c_contiguous
+            assert rewritten.tobytes() == table.tobytes()
+
+    @pytest.mark.parametrize(
+        "trouble",
+        ["not-a-directory", "cannot-write", "owned-by-another-user", "group-writable",
+         "other-writable", "relative-xdg-and-no-home"],
+    )
+    def test_unusable_directory_means_no_cache(self, tmp_path, monkeypatch, trouble):
+        path = tmp_path / "s.csv"
+        write_session(path, small_session(n=5, m=3, seed=24))
+        expected = outcome(capture._load_rows, path, 1.0)
+        xdg = tmp_path / "xdg"
+        cache = xdg / "skelfit"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(xdg))
+        if trouble == "not-a-directory":
+            xdg.mkdir()
+            cache.write_bytes(b"")
+        elif trouble == "cannot-write":
+            # as root, mode 0500 would not stop the write; the refusal is made here
+            def refused(*args, **kwargs):
+                raise PermissionError(13, "Permission denied")
+
+            monkeypatch.setattr(capture.tempfile, "mkstemp", refused)
+        elif trouble == "owned-by-another-user":
+            uid = os.getuid()
+            monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+        elif trouble == "relative-xdg-and-no-home":
+            monkeypatch.setenv("XDG_CACHE_HOME", "relative")
+            monkeypatch.setattr(capture.os.path, "expanduser", lambda p: p)
+            monkeypatch.chdir(tmp_path)
+        else:
+            cache.mkdir(parents=True)
+            cache.chmod(0o770 if trouble == "group-writable" else 0o707)
+        for _ in range(2):
+            assert_same_outcome(outcome(load_session, path, 1.0), expected)
+        assert list(tmp_path.rglob("*.npy")) == []
+        assert not (tmp_path / "~").exists()
+
+    def test_made_with_mode_0700(self, tmp_path, monkeypatch):
+        xdg = tmp_path / "xdg"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(xdg))
+        assert capture._cache_dir() == str(xdg / "skelfit")
+        assert (xdg / "skelfit").stat().st_mode & 0o777 == 0o700
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        assert capture._cache_dir() == str(tmp_path / "home" / ".cache" / "skelfit")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_gets_no_cache(self, tmp_path):
+        fifo = tmp_path / "s.csv"
+        os.mkfifo(fifo)
+        text = ORACLE_FILES["good"].encode()
+
+        def load_while_writing():
+            def write():
+                for _ in range(2):  # the row parser, if it ran, would open the pipe again
+                    with suppress_broken_pipe(), open(fifo, "wb") as out:
+                        out.write(text)
+
+            writer = threading.Thread(target=write, daemon=True)
+            writer.start()
+            try:
+                return outcome(load_session, fifo, 1.0)
+            finally:
+                # a writer still waiting for a reader is let through
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+                writer.join(timeout=30)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(capture, "_cache_dir", lambda: None)
+            expected = load_while_writing()
+        with fresh_cache() as cache:
+            assert load_while_writing() == expected
+            assert not cache.exists()  # _cache_dir, which makes it, was never asked
+
+    def test_keeps_the_most_recently_used_entries(self, tmp_path):
+        paths = [tmp_path / f"s{k}.csv" for k in range(10)]
+        for k, path in enumerate(paths):
+            write_session(path, small_session(n=4, m=2, seed=30 + k))
+        with fresh_cache() as cache:
+            names = []
+            for path in paths[:8]:
+                load_session(path)
+                names.append(next(n for n in entries(cache) if n not in names))
+            # coarse file times could tie; give the entries distinct, old ones
+            for k, name in enumerate(names):
+                os.utime(cache / name, (1e9 + k, 1e9 + k))
+            stale, fresh = cache / "tmpkilled.tmp", cache / "tmpwriting.tmp"
+            stale.touch()
+            os.utime(stale, (1e9, 1e9))
+            fresh.touch()
+            load_session(paths[0])  # a hit: entry 0 becomes the most recently used
+            assert entries(cache) == sorted(names)
+            for path in paths[8:]:
+                load_session(path)
+                names.append(next(n for n in entries(cache) if n not in names))
+            assert entries(cache) == sorted([names[0], *names[3:]])
+            assert not stale.exists() and fresh.exists()
+
+    def test_without_pread(self, tmp_path, monkeypatch):
+        # as on Windows, which has neither os.pread nor os.fork
+        path = tmp_path / "s.csv"
+        write_session(path, small_session(n=40, m=3, seed=25))
+        expected = outcome(capture._load_rows, path, 1.0)
+        monkeypatch.delattr(os, "fork", raising=False)
+        monkeypatch.delattr(os, "pread")
+        with fresh_cache() as cache:
+            assert_same_outcome(outcome(load_session, path, 1.0), expected)
+            assert len(entries(cache)) == 1
+            monkeypatch.setattr(capture, "_load_range", refuse_parse)
+            assert_same_outcome(outcome(load_session, path, 1.0), expected)
+
+
+@contextmanager
+def suppress_broken_pipe():
+    try:
+        yield
+    except BrokenPipeError:
+        pass
 
 
 class TestModelInvariants:

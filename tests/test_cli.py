@@ -2,6 +2,7 @@
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -853,7 +854,7 @@ class TestExitCodes:
                 lambda data: data["bodies"][1].update(c=[0.1, float("nan"), 0.0]),
                 "body 1: bad c: ",
             ),
-            (lambda data: data["bodies"].append(7), "body entry: missing key 'id'"),
+            (lambda data: data["bodies"].append(7), "body entry: 7 is not a JSON object"),
             (lambda data: data["bodies"].append(dict(data["bodies"][1])), "body 1: listed twice"),
             # a float or a bool once truncated to a body id
             (
@@ -927,6 +928,16 @@ class TestExitCodes:
                 lambda data: data["bodies"][1].update(axis_parent=[0, False, 1]),
                 "body 1: bad axis_parent: False is not a finite JSON number",
             ),
+            # a misspelled key was once read as absent: axis_chlid as a joint with no axis
+            (lambda data: data.update(rooot=3), "skeleton: unknown key(s): rooot"),
+            (
+                lambda data: data["bodies"][1].update(axis_chlid=[0, 0, 1], clasification="hinge"),
+                "body 1: unknown key(s): axis_chlid, clasification",
+            ),
+            (
+                lambda data: data["bodies"][0].update(epsilon=5),
+                "body 0: unknown key(s): epsilon",
+            ),
         ],
         ids=[
             "no-root",
@@ -952,6 +963,9 @@ class TestExitCodes:
             "string-in-l",
             "string-in-axis-child",
             "bool-in-axis-parent",
+            "unknown-top-level-key",
+            "unknown-body-keys",
+            "unknown-root-key",
         ],
     )
     def test_malformed_skeleton_json(self, pair_csv, tmp_path, capsys, damage, message):
@@ -1447,3 +1461,41 @@ def test_cli_steps_with_helper_processes_warn_nothing(tmp_path):
         )
         assert (proc.returncode, proc.stderr) == (0, ""), step
     assert load_session(tmp_path / "out.csv").frame_count == frames
+
+
+def test_cold_and_warm_session_cache_give_the_same_bytes(tmp_path, monkeypatch, capsys):
+    """build-skeleton, reconstruct --orthonormalize and solve-joint print and
+    write the same bytes with an empty session cache and with a warm one, on
+    a session large enough for the forked helper; the warm run adds no entry."""
+    from skelfit.capture import _HELPER_MIN_ROWS
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    cache, bundle, out = tmp_path / "xdg" / "skelfit", tmp_path / "bundle", tmp_path / "out"
+    frames = 2 * _HELPER_MIN_ROWS // 16  # twice the rows a helper needs: figure16 has 16 bodies
+    synth = ["synth", "--preset", "figure16", "--frames", str(frames), "--out-dir", str(bundle)]
+    assert main(synth) == 0
+    session, skel = str(bundle / "session.csv"), str(tmp_path / "skel.json")
+    assert main(["build-skeleton", session, "--output", skel]) == 0
+    capsys.readouterr()
+    commands = [
+        ["build-skeleton", session, "--output", str(out / "skel.json"),
+         "--fit-matrix", str(out / "fits.csv")],
+        ["reconstruct", session, skel, str(out / "replay.csv"), "--orthonormalize"],
+        ["solve-joint", session, "4", "1", "--output", str(out / "fit.json"),
+         "--residuals", str(out / "residuals.csv"), "--histogram", str(out / "histogram.csv")],
+    ]
+    for argv in commands:
+        shutil.rmtree(cache)
+        runs = []
+        for _ in ("cold", "warm"):
+            shutil.rmtree(out, ignore_errors=True)
+            out.mkdir()
+            code = main(argv)
+            printed = capsys.readouterr()
+            written = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            stored = sorted(path.name for path in cache.iterdir())
+            runs.append((code, printed.out, printed.err, written, stored))
+        assert runs[0] == runs[1], argv[0]
+        assert runs[0][0] == 0
+        assert set(runs[0][3]) == {Path(a).name for a in argv if a.startswith(str(out))}
+        assert len(runs[0][4]) == 1, argv[0]

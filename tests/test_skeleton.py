@@ -9,7 +9,7 @@ import pytest
 
 from skelfit import skeleton
 from skelfit.capture import BodyTrack, CaptureSession, load_session, write_session
-from skelfit.errors import MissingRotationError, NotAdjacentError
+from skelfit.errors import MissingRotationError, NotAdjacentError, ParseError
 from skelfit.rigid import DET_RTOL, orthonormality_error, rotation_about_axis
 from skelfit.skeleton import (
     SkeletonModel,
@@ -692,6 +692,12 @@ class TestSerialization:
         assert skeleton_to_dict(from_old) == skeleton_to_dict(from_new) == new
         assert from_old.root == from_new.root == 1
         assert from_old.labels == from_new.labels
+
+    @pytest.mark.parametrize("data", [[1], None, "skeleton", 3])
+    def test_skeleton_that_is_not_an_object_refused(self, data):
+        message = rf"^skeleton: {re.escape(repr(data))} is not a JSON object$"
+        with pytest.raises(ParseError, match=message):
+            dict_to_skeleton(data)
 
     @pytest.mark.parametrize("label", [None, "tip"])
     def test_a_second_root_refused_not_dropped(self, label):
