@@ -57,22 +57,18 @@ from .solver import (
     residual_histogram,
     solve_joint,
 )
-from .synth import (
-    PRESETS,
-    Excitation,
-    NoiseSpec,
-    RootMotion,
-    SynthBody,
-    SynthSpec,
-    figure16_spec,
-    generate,
-    linkage_spec,
-    load_spec,
-    rigid_pair_spec,
-    rotational_dof,
-    save_spec,
-    truth_model,
-)
+
+
+def __getattr__(name):
+    # the names of __all__ not imported above are synth's; they resolve on first
+    # use, so that a process that only fits or replays, such as every CLI step
+    # but `synth`, never imports it
+    if name in __all__:
+        from . import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

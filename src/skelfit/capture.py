@@ -19,7 +19,9 @@ The row parser stays because it names the row of a bad cell, and because
 it accepts the few tokens loadtxt refuses but `int()`, `float()` and the
 csv module take: digit separators (`1_0`), non-ASCII digits and spaces,
 and quoted cells.  When loadtxt accepts a cell, its value equals
-Python's, bit for bit.
+Python's, bit for bit.  A pipe, or any other file that is not a regular
+file, can be read only once: the row parser alone reads it, from its
+bytes in memory.
 
 Both directions use a second CPU for a large session.  `write_session`
 forks one helper process that formats every second block of rows and
@@ -258,7 +260,8 @@ def _load_table(path, unit_scale: float) -> Optional[CaptureSession]:
 
     Returns None when the file is not a good session or holds a token
     loadtxt refuses; the row parser then reads it again, to load it or
-    to name what is wrong.  Only opening the file can raise.
+    to name what is wrong.  Only opening the file can raise, or the row
+    parser on a file that is not a regular file.
 
     The file is decoded as ASCII, so a file holding any other character
     goes to the row parser: numpy 2.4's loadtxt can crash the process
@@ -270,8 +273,13 @@ def _load_table(path, unit_scale: float) -> Optional[CaptureSession]:
 
     A regular file's table is first looked up in the cache; a table the
     parse made is stored there once every track has been built from it.
+
+    Any other file, such as a pipe, can be read only once: the row parser
+    reads its bytes, read whole here, with no cache and no second open.
     """
     with open(path, newline="", encoding="ascii") as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            return _load_rows(path, unit_scale, fh.buffer.read())
         try:
             line = fh.readline()
             # a quote may span lines, which only the row parser's reader follows
@@ -286,9 +294,8 @@ def _load_table(path, unit_scale: float) -> Optional[CaptureSession]:
             # the rows are counted as if all were as long as the first
             row, newline, _ = chunk.lstrip("\r\n").partition("\n")
             split = _split_point(fd, begin, len(row) + 1) if newline else None
-            info = os.fstat(fd)
-            end = info.st_size if split is None else split[1]
-            cache = _cache_dir() if stat.S_ISREG(info.st_mode) else None
+            end = os.fstat(fd).st_size if split is None else split[1]
+            cache = _cache_dir()
             if cache is not None:
                 ranges = [(begin, end)] if split is None else [(begin, split[0]), split]
                 data = _cached_table(cache, fd, line, ranges)
@@ -341,11 +348,14 @@ def _session_of(data: np.ndarray, unit_scale: float) -> Optional[CaptureSession]
     return CaptureSession(tuple(tracks), n)
 
 
-def _load_rows(path, unit_scale: float) -> CaptureSession:
-    """The row parser: reads any good file, and names the row of a bad one."""
+def _load_rows(path, unit_scale: float, data: Optional[bytes] = None) -> CaptureSession:
+    """The row parser: reads any good file, and names the row of a bad one.
+
+    `data`, if given, is the file's bytes, already read (a pipe's).
+    """
     cells: dict[tuple[int, int], np.ndarray] = {}
     rows: dict[tuple[int, int], int] = {}
-    with closing(csv_records(path, CSV_HEADER)) as records:
+    with closing(csv_records(path, CSV_HEADER, data)) as records:
         for lineno, row in records:
             if len(row) != 14:
                 raise ParseError(f"{path} row {lineno}: expected 14 fields, got {len(row)}")
@@ -698,10 +708,12 @@ def _split_point(fd: int, begin: int, row_bytes: int) -> Optional[tuple[int, int
 
     The split is just after the first "\\n" from the middle of the range on.
     None, to parse it all in one process, when the range holds too few rows
-    of `row_bytes` to pay for a helper, or no "\\n" there (CR-only lines).
+    of `row_bytes` to pay for a helper, or no "\\n" there (CR-only lines),
+    or no os.preadv (macOS before 11, Windows), without which `_ByteRange`
+    moves the file offset that a helper would share.
     """
     end = os.fstat(fd).st_size
-    if not _helper_pays((end - begin) // row_bytes):
+    if not hasattr(os, "preadv") or not _helper_pays((end - begin) // row_bytes):
         return None
     at = (begin + end) // 2
     while chunk := os.pread(fd, min(1 << 16, end - at), at):
@@ -712,8 +724,9 @@ def _split_point(fd: int, begin: int, row_bytes: int) -> Optional[tuple[int, int
 
 
 class _ByteRange(io.RawIOBase):
-    """Bytes begin..end-1 of file fd, read with os.pread so the offset it
-    shares with a forked process never moves; each read also updates `sha`."""
+    """Bytes begin..end-1 of file fd, read with os.preadv straight into the
+    caller's buffer, at an offset, so the file offset it shares with a forked
+    process never moves; each read also updates `sha` with that buffer."""
 
     def __init__(self, fd: int, begin: int, end: int, sha=None):
         super().__init__()
@@ -723,17 +736,18 @@ class _ByteRange(io.RawIOBase):
         return True
 
     def readinto(self, buffer) -> int:
-        size = min(len(buffer), self.end - self.at)
-        if hasattr(os, "pread"):
-            data = os.pread(self.fd, size, self.at)
-        else:  # Windows, which has no os.fork either, so no other process shares the offset
+        view = memoryview(buffer)[: max(0, self.end - self.at)]
+        if hasattr(os, "preadv"):
+            size = os.preadv(self.fd, [view], self.at)
+        else:  # no helper was split off (_split_point), so no other process shares the offset
             os.lseek(self.fd, self.at, os.SEEK_SET)
-            data = os.read(self.fd, size)
-        buffer[: len(data)] = data
-        self.at += len(data)
+            data = os.read(self.fd, len(view))
+            size = len(data)
+            view[:size] = data
+        self.at += size
         if self.sha is not None:
-            self.sha.update(data)
-        return len(data)
+            self.sha.update(view[:size])
+        return size
 
 
 def _load_range(fd: int, begin: int, end: int, sha=None) -> np.ndarray:
@@ -870,15 +884,20 @@ def load_labels(path) -> dict[int, str]:
     return labels
 
 
-def csv_records(path, header: str):
+def csv_records(path, header: str, data: Optional[bytes] = None):
     """(row number, fields) for each non-blank CSV row of a UTF-8 file after its header.
 
     Row 1 must match `header` once its fields are stripped.  A field over
     the csv module's size limit, or bytes that are not UTF-8, raise
-    ParseError naming the file and where in it.
+    ParseError naming the file and where in it.  `data`, if given, is the
+    file's bytes, already read, and the file is not opened.
     """
     number = 0  # rows read so far, so a csv.Error names the next one
-    with open(path, newline="", encoding="utf-8") as fh:
+    if data is None:
+        fh = open(path, newline="", encoding="utf-8")
+    else:
+        fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    with fh:
         try:
             for number, row in enumerate(csv.reader(fh), start=1):
                 if number == 1 and not _is_header(row, header):

@@ -8,6 +8,7 @@ float precision.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -53,7 +54,6 @@ from .solver import (
     write_histogram_csv,
     write_residual_csv,
 )
-from .synth import PRESETS, generate, load_spec, save_spec
 
 
 def _fmt(x: float) -> str:
@@ -218,6 +218,9 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    # imported here: no other command needs synth, and it takes a few ms to import
+    from .synth import PRESETS, generate, load_spec, save_spec
+
     if args.preset:
         spec = PRESETS[args.preset]()
     else:
@@ -301,6 +304,18 @@ def _bin_count(text: str) -> int:
     return value
 
 
+class _PresetNames:
+    """The names of synth.PRESETS, sorted, for --preset's choices."""
+
+    def __contains__(self, name) -> bool:
+        return name in list(self)
+
+    def __iter__(self):
+        from .synth import PRESETS
+
+        return iter(sorted(PRESETS))
+
+
 def _add_load_flags(sub):
     sub.add_argument("session", help="transform-stream CSV")
     sub.add_argument(
@@ -365,7 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("synth", help="generate a synthetic session")
     source = sub.add_mutually_exclusive_group(required=True)
-    source.add_argument("--preset", choices=sorted(PRESETS), help="bundled figure")
+    preset = source.add_argument("--preset", help="bundled figure")
+    # set after add_argument, which would list them at once: synth is imported
+    # only when argparse checks or shows a preset name
+    preset.choices = _PresetNames()
     source.add_argument("--spec", help="synth spec JSON")
     sub.add_argument("--out-dir", required=True, help="directory for outputs")
     sub.add_argument("--frames", type=int, help="override the spec frame count")
@@ -403,5 +421,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 3
 
 
+def run():
+    """The `skelfit` console script and `python -m skelfit.cli`: main(), then exit.
+
+    The garbage collector is frozen before the interpreter exits, so its
+    shutdown does not walk the objects that numpy's import made.  main()
+    never freezes it, so a caller that runs main() in-process is unaffected.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -22,10 +22,10 @@ import numpy as np
 
 from .capture import CaptureSession, csv_records, write_csv
 from .errors import IncompleteMatrixError, ParseError, SkelfitError
+from .rigid import FRAME_CHUNK  # also frames per Gram-matrix update
 from .solver import DEFAULT_RANK_TOL, kept_directions, solve_joint
 
 DEFAULT_LOOP_FACTOR = 2.0
-FRAME_CHUNK = 1024  # frames per Gram-matrix update, so its memory does not grow with n
 EIG_ERR = 64  # eigh's backward error and loss of orthogonality, in units of u * trace
 SAFETY = 2.0  # covers the (1 + O(u)) factors the bound leaves out
 WIDE_BOUND = 2.0  # a bound that cannot place epsilon within this factor is solved exactly

@@ -7,10 +7,13 @@ placements as stacked (n, 3, 3) and (n, 3) arrays.
 
 The validity rules for rotational components live here once, for one
 matrix or a stack of frames: `is_non_finite`, `is_singular` and
-`orthonormality_error`.  `cofactors` is the one 3x3 determinant and
-inverse rule: `is_singular`, the relative rotations of playback and its
-Newton polar step take their det and X^-T from it, in closed form, with
-no per-frame LAPACK call, on frames scaled by `scale_frames`.
+`orthonormality_error`.  The first two are the checks every track
+passes; they run over blocks of `FRAME_CHUNK` frames, so their
+temporaries stay small however long the track.  `cofactors` is the one
+3x3 determinant and inverse rule: `is_singular`, the relative rotations
+of playback and its Newton polar step take their det and X^-T from it,
+in closed form, with no per-frame LAPACK call, on frames scaled by
+`scale_frames`.
 `quaternion_matrix` builds every rotation synth draws;
 `rotation_about_axis` feeds it (sin(angle/2) * axis, cos(angle/2)).
 """
@@ -20,10 +23,34 @@ import numpy as np
 
 # |det R| must exceed this times ||R||_F^3 (scale-free singularity test).
 DET_RTOL = 1e-12
+FRAME_CHUNK = 1024  # frames a per-frame pass takes at once, so its memory does not grow with n
+
+
+def _in_frame_blocks(rule, R: np.ndarray, *more: np.ndarray) -> np.ndarray:
+    """rule(R, *more) per frame, on FRAME_CHUNK frames at a time.
+
+    R is (..., 3, 3) and each of `more` has R's leading axes; the answer
+    has them too (a 0-d array for one matrix).  Each frame's answer
+    depends on that frame alone, so the blocks change no decision, only
+    the size of the temporaries.
+    """
+    R = np.asarray(R)
+    lead = R.shape[:-2]
+    R = R.reshape(-1, 3, 3)
+    more = [np.asarray(x).reshape(len(R), *np.shape(x)[len(lead) :]) for x in more]
+    out = np.empty(len(R), bool)
+    for start in range(0, len(R), FRAME_CHUNK):
+        block = slice(start, start + FRAME_CHUNK)
+        out[block] = rule(R[block], *(x[block] for x in more))
+    return out.reshape(lead)
 
 
 def is_non_finite(R: np.ndarray, t: np.ndarray) -> np.ndarray:
     """True per frame where R (..., 3, 3) or t (..., 3) holds a NaN or inf."""
+    return _in_frame_blocks(_non_finite, R, t)
+
+
+def _non_finite(R: np.ndarray, t: np.ndarray) -> np.ndarray:
     return ~(np.isfinite(R).all(axis=(-2, -1)) & np.isfinite(t).all(axis=-1))
 
 
@@ -36,6 +63,10 @@ def is_singular(R: np.ndarray) -> np.ndarray:
     scale-free, so a frame whose unscaled det and norm did not over- or
     underflow keeps its decision.
     """
+    return _in_frame_blocks(_singular, R)
+
+
+def _singular(R: np.ndarray) -> np.ndarray:
     R, _ = scale_frames(R)
     _, dets = cofactors(R)
     norms = np.sqrt((R**2).sum(axis=(-2, -1)))

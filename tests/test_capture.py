@@ -35,7 +35,7 @@ from skelfit.errors import (
     SingularRotationError,
 )
 from skelfit.hierarchy import load_parent_map
-from skelfit.rigid import orthonormality_error
+from skelfit.rigid import FRAME_CHUNK, orthonormality_error
 from conftest import haar_rotations
 
 
@@ -82,6 +82,11 @@ def force_helper(monkeypatch) -> list:
     if not capture._helper_pays(capture._HELPER_MIN_ROWS):
         pytest.skip("needs os.fork and two usable CPUs")
     monkeypatch.setattr(capture, "_HELPER_MIN_ROWS", 0)
+    return count_forks(monkeypatch)
+
+
+def count_forks(monkeypatch) -> list:
+    """From here on os.fork is counted; returns a one-item list of the count."""
     forks = [0]
     real_fork = os.fork
 
@@ -432,6 +437,40 @@ class TestParseErrors:
             with pytest.raises(ParseError, match=r"row 5: non-finite value \(frame 1, body 1\)"):
                 load_session(path, unit_scale=10.0)
 
+    @pytest.mark.parametrize("frame", [1023, 1024, 2499])
+    @pytest.mark.parametrize("fault", ["nan", "inf", "singular"])
+    def test_fault_found_on_each_side_of_a_frame_block(self, tmp_path, fault, frame):
+        # the checks run over blocks of rigid.FRAME_CHUNK frames; 1023 and 1024
+        # are the last and first frames of two blocks, 2499 the last of a short one
+        assert FRAME_CHUNK == 1024
+        n, m, body = 2500, 2, 1
+        session = small_session(n=n, m=m, seed=27)
+        R = session.track(body).rotations.copy()
+        t = session.track(body).translations.copy()
+        if fault == "singular":
+            R[frame] = np.outer([1.0, 2.0, 3.0], [0.5, 0.0, 1.0])
+            message, track_error, file_error = "singular rotation", *[SingularRotationError] * 2
+        else:
+            if fault == "nan":
+                R[frame, 2, 1] = np.nan
+            else:
+                t[frame, 0] = np.inf
+            message, track_error, file_error = "non-finite value", ValueError, ParseError
+        at = f"body {body}: {message} at frame {frame}"
+        with pytest.raises(track_error, match=re.escape(at)):
+            BodyTrack(body, R, t)
+
+        path = tmp_path / "s.csv"
+        write_session(path, session)
+        rows = rows_of(path)
+        row = rows[1 + frame * m + body]
+        assert row[:2] == [str(frame), str(body)]
+        row[2:] = [f"{x!r}" for x in R[frame].ravel().tolist() + t[frame].tolist()]
+        path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        where = f"{path} row {frame * m + body + 2}: {message} (frame {frame}, body {body})"
+        with pytest.raises(file_error, match=re.escape(where)):
+            load_session(path)
+
     def test_each_rule_runs_once_per_body(self, tmp_path, monkeypatch):
         m = 3
         path = tmp_path / "s.csv"
@@ -548,6 +587,7 @@ ORACLE_FILES = {
     "empty": "",
     "bad-utf8": None,
 }
+BAD_UTF8_FILE = CSV_HEADER.encode() + b"\n" + GOOD_ROWS[0].encode() + b"\xff\n"  # "bad-utf8"
 
 
 # the files loadtxt reads; the others go to the row parser, to load or to fail
@@ -628,7 +668,7 @@ class TestFastPath:
         path = tmp_path / "s.csv"
         text = ORACLE_FILES[name]
         if text is None:
-            path.write_bytes(CSV_HEADER.encode() + b"\n" + GOOD_ROWS[0].encode() + b"\xff\n")
+            path.write_bytes(BAD_UTF8_FILE)
         else:
             path.write_bytes(text.encode())
         assert_loads_like_row_parser(path)
@@ -813,14 +853,23 @@ class TestHelper:
         assert_no_child_left()
 
     def test_without_pread_reads_in_one_process(self, tmp_path, monkeypatch):
-        # as on Windows, which has neither os.pread nor os.fork
+        # with no os.preadv (macOS before 11), or no os.preadv, os.pread or os.fork
+        # (Windows), one process reads it all, even where a split would pay
         path = tmp_path / "s.csv"
         write_session(path, small_session(n=40, m=3, seed=16))
         expected = outcome(load_session, path, 1.0)
-        monkeypatch.delattr(os, "fork", raising=False)
-        monkeypatch.delattr(os, "pread")
-        assert capture._load_table(path, 1.0) is not None
-        assert_same_outcome(outcome(load_session, path, 1.0), expected)
+        splits = capture._helper_pays(capture._HELPER_MIN_ROWS)
+        monkeypatch.setattr(capture, "_HELPER_MIN_ROWS", 0)
+        forks = count_forks(monkeypatch) if hasattr(os, "fork") else [0]
+        for missing in ([], ["preadv"], ["preadv", "pread", "fork"]):
+            forks[0] = 0
+            with pytest.MonkeyPatch.context() as patch:
+                for name in missing:
+                    patch.delattr(os, name, raising=False)
+                assert capture._load_table(path, 1.0) is not None
+                assert_same_outcome(outcome(load_session, path, 1.0), expected)
+            assert forks == [2 if splits and not missing else 0]
+            assert_no_child_left()
 
     @pytest.mark.parametrize("death", ["exit", "mid-message"])
     def test_helper_failure_fails_the_write(self, tmp_path, monkeypatch, death):
@@ -932,7 +981,7 @@ class TestSessionCache:
         path = tmp_path / "s.csv"
         text = ORACLE_FILES[name]
         if text is None:
-            path.write_bytes(CSV_HEADER.encode() + b"\n" + GOOD_ROWS[0].encode() + b"\xff\n")
+            path.write_bytes(BAD_UTF8_FILE)
         else:
             path.write_bytes(text.encode())
         with split_if(split):
@@ -1065,31 +1114,34 @@ class TestSessionCache:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_fifo_gets_no_cache(self, tmp_path):
-        fifo = tmp_path / "s.csv"
-        os.mkfifo(fifo)
-        text = ORACLE_FILES["good"].encode()
-
-        def load_while_writing():
-            def write():
-                for _ in range(2):  # the row parser, if it ran, would open the pipe again
-                    with suppress_broken_pipe(), open(fifo, "wb") as out:
-                        out.write(text)
-
-            writer = threading.Thread(target=write, daemon=True)
-            writer.start()
-            try:
-                return outcome(load_session, fifo, 1.0)
-            finally:
-                # a writer still waiting for a reader is let through
-                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
-                writer.join(timeout=30)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(capture, "_cache_dir", lambda: None)
-            expected = load_while_writing()
+        # more rows than a helper is started for, and more bytes than a pipe holds
+        path = tmp_path / "s.csv"
+        write_session(path, small_session(n=3000, m=3, seed=26))
+        data = path.read_bytes()
+        expected = outcome(load_session, path, 1.0)
+        assert not isinstance(expected, tuple)
+        path.unlink()
+        os.mkfifo(path)
         with fresh_cache() as cache:
-            assert load_while_writing() == expected
+            assert_same_outcome(load_from_fifo(path, data), expected)
             assert not cache.exists()  # _cache_dir, which makes it, was never asked
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("name", ORACLE_FILES)
+    def test_fifo_loads_like_a_regular_file(self, tmp_path, monkeypatch, name):
+        # the same session, or the same error naming the same row, as the
+        # regular file of the same bytes; never a helper or the cache
+        path = tmp_path / "s.csv"
+        text = ORACLE_FILES[name]
+        data = BAD_UTF8_FILE if text is None else text.encode()
+        path.write_bytes(data)
+        expected = outcome(load_session, path, 1.0)
+        path.unlink()
+        os.mkfifo(path)
+        monkeypatch.setattr(capture, "_HELPER_MIN_ROWS", 0)
+        monkeypatch.setattr(capture, "_helper", refuse_helper)
+        monkeypatch.setattr(capture, "_cache_dir", refuse_cache)
+        assert_same_outcome(load_from_fifo(path, data), expected)
 
     def test_keeps_the_most_recently_used_entries(self, tmp_path):
         paths = [tmp_path / f"s{k}.csv" for k in range(10)]
@@ -1115,18 +1167,63 @@ class TestSessionCache:
             assert entries(cache) == sorted([names[0], *names[3:]])
             assert not stale.exists() and fresh.exists()
 
-    def test_without_pread(self, tmp_path, monkeypatch):
-        # as on Windows, which has neither os.pread nor os.fork
+    def test_without_pread(self, tmp_path):
+        # with no os.preadv (macOS before 11), and with no os.preadv, os.pread or
+        # os.fork (Windows): the session, and the one entry, of a one-process
+        # load with them
         path = tmp_path / "s.csv"
         write_session(path, small_session(n=40, m=3, seed=25))
         expected = outcome(capture._load_rows, path, 1.0)
-        monkeypatch.delattr(os, "fork", raising=False)
-        monkeypatch.delattr(os, "pread")
-        with fresh_cache() as cache:
-            assert_same_outcome(outcome(load_session, path, 1.0), expected)
-            assert len(entries(cache)) == 1
-            monkeypatch.setattr(capture, "_load_range", refuse_parse)
-            assert_same_outcome(outcome(load_session, path, 1.0), expected)
+        for missing in (["preadv"], ["preadv", "pread", "fork"]):
+            names = []
+            for gone in (["fork"], missing):
+                with pytest.MonkeyPatch.context() as patch, fresh_cache() as cache:
+                    # split where os.fork and os.preadv can
+                    patch.setattr(capture, "_HELPER_MIN_ROWS", 0)
+                    for name in gone:
+                        patch.delattr(os, name, raising=False)
+                    assert_same_outcome(outcome(load_session, path, 1.0), expected)
+                    names += entries(cache)
+                    patch.setattr(capture, "_load_range", refuse_parse)
+                    assert_same_outcome(outcome(load_session, path, 1.0), expected)
+                    assert entries(cache) == names[-1:]
+            assert len(names) == 2 and names[0] == names[1]
+
+
+def load_from_fifo(path: Path, data: bytes):
+    """The outcome of load_session on the named pipe `path` while a thread writes
+    `data` into it once; the load may open the pipe only once."""
+    opened = []
+    real_open = open
+
+    def open_once(file, *args, **kwargs):
+        if file == path:  # a second open would wait for a writer that never comes
+            opened.append(file)
+            assert len(opened) == 1, "the pipe was opened a second time"
+        return real_open(file, *args, **kwargs)
+
+    def write():
+        with suppress_broken_pipe(), open(path, "wb") as out:
+            out.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(capture, "open", open_once, raising=False)
+            return outcome(load_session, path, 1.0)
+    finally:
+        # a writer still waiting for a reader is let through
+        os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=30)
+
+
+def refuse_helper(work):
+    raise AssertionError("a pipe's parse started a helper")
+
+
+def refuse_cache():
+    raise AssertionError("a pipe's parse asked for the session cache")
 
 
 @contextmanager

@@ -41,6 +41,7 @@ from skelfit.solver import (
     write_residual_csv,
 )
 from skelfit.synth import (
+    PRESETS,
     SynthBody,
     SynthSpec,
     generate,
@@ -560,6 +561,21 @@ class TestSynth:
             main(["synth", "--out-dir", str(tmp_path)])
         capsys.readouterr()
         assert exc.value.code == 2
+
+    def test_preset_choices_are_synth_presets(self, tmp_path, capsys):
+        # --preset's choices are read from synth.PRESETS only when argparse needs them
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--help"])
+        assert exc.value.code == 0
+        listed = "--preset {" + ",".join(sorted(PRESETS)) + "}"
+        assert listed in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--preset", "figure17", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --preset: invalid choice: 'figure17' (choose from " in err
+        assert all(name in err for name in PRESETS)
+        assert not (tmp_path / "session.csv").exists()
 
 
 class TestCalibratePair:
@@ -1461,6 +1477,94 @@ def test_cli_steps_with_helper_processes_warn_nothing(tmp_path):
         )
         assert (proc.returncode, proc.stderr) == (0, ""), step
     assert load_session(tmp_path / "out.csv").frame_count == frames
+
+
+LAZY_SYNTH_PROBE = """
+import sys
+
+import skelfit.cli
+
+assert "skelfit.synth" not in sys.modules, "import skelfit.cli imported synth"
+assert skelfit.cli.main(["build-skeleton", sys.argv[1]]) == 4  # no such file
+assert "skelfit.synth" not in sys.modules, "build-skeleton imported synth"
+import skelfit
+
+missing = [name for name in skelfit.__all__ if not hasattr(skelfit, name)]
+assert not missing, missing
+assert "skelfit.synth" in sys.modules
+"""
+
+
+def test_only_synth_imports_synth(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_SYNTH_PROBE, str(tmp_path / "absent.csv")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_synth_process_writes_what_main_writes(tmp_path, capsys):
+    # a fresh `python -m skelfit.cli synth`, which imports synth inside the
+    # command, writes the bytes of an in-process run
+    src = Path(__file__).resolve().parent.parent / "src"
+    for preset in sorted(PRESETS):
+        args = ["synth", "--preset", preset, "--frames", "40", "--seed", "7", "--out-dir"]
+        assert main([*args, str(tmp_path / "main" / preset)]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "skelfit.cli", *args, str(tmp_path / "run" / preset)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        written = sorted(p.name for p in (tmp_path / "main" / preset).iterdir())
+        assert written == sorted(p.name for p in (tmp_path / "run" / preset).iterdir())
+        for name in written:
+            main_bytes = (tmp_path / "main" / preset / name).read_bytes()
+            assert (tmp_path / "run" / preset / name).read_bytes() == main_bytes, name
+    capsys.readouterr()
+
+
+def test_run_freezes_the_collector_on_the_way_out(tmp_path, monkeypatch, capsys):
+    # run() is the console script; main() alone, as a caller in this process
+    # runs it, leaves the collector as it is
+    frozen = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: frozen.append(True))
+    argv = ["calibrate-pair", str(tmp_path / "absent.csv"), "0", "1"]
+    assert main(argv) == 4
+    assert frozen == []
+    monkeypatch.setattr(sys, "argv", ["skelfit", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 4
+    assert frozen == [True]
+    capsys.readouterr()
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    assert 'skelfit = "skelfit.cli:run"' in pyproject
+
+
+def test_module_entry_freezes_the_collector(tmp_path):
+    probe = (
+        "import gc, runpy, sys\n"
+        "sys.argv = ['skelfit', 'calibrate-pair', sys.argv[1], '0', '1']\n"
+        "try:\n"
+        "    runpy.run_module('skelfit.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, gc.get_freeze_count() > 0)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path / "absent.csv")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.stdout == "4 True\n", proc.stderr
 
 
 def test_cold_and_warm_session_cache_give_the_same_bytes(tmp_path, monkeypatch, capsys):

@@ -5,8 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
+from skelfit import rigid
 from skelfit.rigid import (
     DET_RTOL,
+    FRAME_CHUNK,
     cofactors,
     is_non_finite,
     is_singular,
@@ -79,6 +81,43 @@ class TestValidation:
         Rs[1, 1, 2] = value
         ts[2, 1] = value
         assert is_non_finite(Rs, ts).tolist() == [False, True, True]
+
+
+    def test_one_matrix_and_stacks_of_any_leading_shape(self):
+        # the checks run over blocks of FRAME_CHUNK frames of the flattened
+        # leading axes; each answer keeps the input's leading shape
+        rng = np.random.default_rng(13)
+        R = haar_rotations(rng, 3 * 700).reshape(3, 700, 3, 3)
+        t = rng.normal(size=(3, 700, 3))
+        R[0, 5] = 0.0
+        R[1, 323, 1] = R[1, 323, 0]  # frame 1023 of the flattened stack
+        R[2, 699, 2, 2] = np.nan
+        t[1, 324, 0] = -np.inf  # frame 1024
+        bad = is_non_finite(R, t)
+        assert bad.shape == (3, 700)
+        assert [tuple(k) for k in np.argwhere(bad)] == [(1, 324), (2, 699)]
+        singular = is_singular(np.where(bad[..., None, None], np.eye(3), R))
+        assert singular.shape == (3, 700)
+        assert [tuple(k) for k in np.argwhere(singular)] == [(0, 5), (1, 323)]
+        for k in np.ndindex(3, 700):
+            assert is_non_finite(R[k], t[k]) == bad[k]
+            if not bad[k]:
+                assert is_singular(R[k]) == singular[k]
+        assert is_singular(R[0, 5]).shape == is_non_finite(R[0, 5], t[0, 5]).shape == ()
+        assert is_singular(R[:0]).shape == is_non_finite(R[:0], t[:0]).shape == (0, 700)
+
+    def test_every_frame_checked_once_in_small_blocks(self, monkeypatch):
+        seen = []
+        real = rigid.scale_frames
+
+        def recording(R):
+            seen.append(len(R))
+            return real(R)
+
+        monkeypatch.setattr(rigid, "scale_frames", recording)
+        R = np.tile(np.eye(3), (2 * FRAME_CHUNK + 5, 1, 1))
+        assert not is_singular(R).any()
+        assert seen == [FRAME_CHUNK, FRAME_CHUNK, 5]
 
 
 def one_and_stacked(axis, angle) -> list:
