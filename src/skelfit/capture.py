@@ -26,16 +26,15 @@ bytes in memory.
 Both directions use a second CPU for a large session.  `write_session`
 forks one helper process that formats every second block of rows and
 sends it back through a pipe, and the parent writes all blocks in frame
-order, so the bytes do not change.  `load_session` splits the file at
-the first "\n" after the middle of its data; the helper runs the same
-loadtxt on the rows after the split and sends the table back, and a
-refusal on either side sends the file to the row parser.  One process
-does all the work when the session has fewer than `_HELPER_MIN_ROWS`
-rows (the measured break-even), when `os.fork` is missing or fails,
-when fewer than two CPUs are usable, or when the file has no "\n" after
-its middle.  A helper that fails makes `write_session` raise OSError.
-On Linux the pipe holds 1 MiB, so the helper formats a few blocks ahead
-of the writes.
+order, so the bytes do not change.  `load_session` splits a file of
+`_HELPER_MIN_ROWS` rows or more (the measured break-even) at the first
+"\n" after the middle of its data; the helper runs the same loadtxt on
+the rows after the split and sends the table back, and a refusal on
+either side sends the file to the row parser.  One process does all the
+work when `os.fork` is missing or fails or fewer than two CPUs are
+usable, and then parses both sides of a split in one pass.  A helper
+that fails makes `write_session` raise OSError.  On Linux the pipe
+holds 1 MiB, so the helper formats a few blocks ahead of the writes.
 
 `write_session` does not call repr on each float.  `_float_text` finds
 the shortest digits that read back to each value of a whole block at
@@ -54,8 +53,9 @@ read the same bytes loads it in milliseconds instead of parsing it
 again.  `_load_table` stores the unscaled (m, n, 12) float64 table of a
 regular file as `<size>-<key>.npy` in `_cache_dir()`, and looks the key
 up before it parses.  The key is a SHA-256 digest of `_CACHE_TAG`, the
-header line, and each parse range's own digest, which covers the
-range's offset and bytes.  The parse digests each range as it reads it
+header line, and the digest of each of the file's parse ranges, which
+covers the range's offset and bytes; the ranges do not depend on which
+process parses them.  The parse digests each range as it reads it
 (`_ByteRange`, in this process and in the helper), so the stored key
 names exactly the bytes that were parsed, even if the file changes
 during the load.  The lookup digests the same ranges before the parse,
@@ -247,12 +247,16 @@ def load_session(path, unit_scale: float = 1.0) -> CaptureSession:
 
     Translations are multiplied by `unit_scale` on the way in, so a file
     recorded in centimeters loads to meters with unit_scale=0.01; it must
-    be finite and positive.
+    be finite and positive.  An OSError names the file, as a failed open does.
     """
     if not 0.0 < unit_scale < math.inf:
         raise ValueError(f"unit_scale must be finite and positive, got {unit_scale!r}")
-    session = _load_table(path, unit_scale)
-    return session if session is not None else _load_rows(path, unit_scale)
+    try:
+        return _load_table(path, unit_scale) or _load_rows(path, unit_scale)
+    except OSError as exc:
+        if exc.errno is not None and exc.filename is None:  # a read error, not an open's
+            exc.filename = os.fspath(path)
+        raise
 
 
 def _load_table(path, unit_scale: float) -> Optional[CaptureSession]:
@@ -260,16 +264,16 @@ def _load_table(path, unit_scale: float) -> Optional[CaptureSession]:
 
     Returns None when the file is not a good session or holds a token
     loadtxt refuses; the row parser then reads it again, to load it or
-    to name what is wrong.  Only opening the file can raise, or the row
-    parser on a file that is not a regular file.
+    to name what is wrong.  Raises OSError if reading fails, or the row
+    parser's errors on a file that is not a regular file.
 
     The file is decoded as ASCII, so a file holding any other character
     goes to the row parser: numpy 2.4's loadtxt can crash the process
     on a high code point such as U+F5075 in an integer column.
 
-    A large file is split at the first "\\n" after the middle of its data:
-    a forked helper parses the rows after the split while this process
-    parses those before it, and a refusal on either side returns None.
+    A large file has two parse ranges (`_parse_ranges`): a forked helper
+    parses the second while this process parses the first, or this process
+    parses both in one pass; a refusal on either side returns None.
 
     A regular file's table is first looked up in the cache; a table the
     parse made is stored there once every track has been built from it.
@@ -293,19 +297,16 @@ def _load_table(path, unit_scale: float) -> Optional[CaptureSession]:
             fd, begin = fh.fileno(), len(line)  # the header is ASCII: a byte a character
             # the rows are counted as if all were as long as the first
             row, newline, _ = chunk.lstrip("\r\n").partition("\n")
-            split = _split_point(fd, begin, len(row) + 1) if newline else None
-            end = os.fstat(fd).st_size if split is None else split[1]
+            ranges = _parse_ranges(fd, begin, len(row) + 1 if newline else None)
             cache = _cache_dir()
             if cache is not None:
-                ranges = [(begin, end)] if split is None else [(begin, split[0]), split]
                 data = _cached_table(cache, fd, line, ranges)
                 if data is not None:
                     return _session_of(data, unit_scale)
-            work = None if split is None else lambda out: _send_range(out, fd, *split)
+            pays = len(ranges) > 1 and hasattr(os, "preadv") and _helper_pays(_HELPER_MIN_ROWS)
+            work = (lambda out: _send_range(out, fd, ranges[1:])) if pays else None
             with _helper(work) as helper:
-                sha = _range_sha(begin)
-                table = _load_range(fd, begin, end if helper is None else split[0], sha)
-                digests = [sha.digest()]
+                table, digests = _load_range(fd, ranges if helper is None else ranges[:1])
                 if helper is not None:
                     def table_of_both(size):  # the helper's rows are read in after these
                         both = np.empty(len(table) + size // _ROW_DTYPE.itemsize, _ROW_DTYPE)
@@ -313,7 +314,7 @@ def _load_table(path, unit_scale: float) -> Optional[CaptureSession]:
                         return both
 
                     table = _receive(helper, table_of_both)
-                    digests.append(bytes(_receive(helper)))
+                    digests += _receive(helper)
         # a field count, token, int64 range or non-ASCII, on either side of a split
         except (ValueError, csv.Error, ChildProcessError):
             return None
@@ -330,7 +331,7 @@ def _load_table(path, unit_scale: float) -> Optional[CaptureSession]:
     del table, frame, body
     session = _session_of(data, unit_scale)
     if session is not None and cache is not None:
-        _store_table(cache, _entry_name(end, line, digests), data)
+        _store_table(cache, _entry_name(ranges[-1][1], line, digests), data)
     return session
 
 
@@ -703,34 +704,37 @@ def _receive(reader, buffer_for=bytearray):
     raise ChildProcessError("helper process stopped before the end of a message")
 
 
-def _split_point(fd: int, begin: int, row_bytes: int) -> Optional[tuple[int, int]]:
-    """(split, end): a helper parses bytes split..end-1 of file fd, this process begin..split-1.
+def _parse_ranges(fd: int, begin: int, row_bytes: Optional[int]) -> list[tuple[int, int]]:
+    """The parse ranges of the rows at bytes begin.. of file fd, which the file alone fixes.
 
-    The split is just after the first "\\n" from the middle of the range on.
-    None, to parse it all in one process, when the range holds too few rows
-    of `row_bytes` to pay for a helper, or no "\\n" there (CR-only lines),
-    or no os.preadv (macOS before 11, Windows), without which `_ByteRange`
-    moves the file offset that a helper would share.
+    Two, split just after the first "\\n" from the middle of the rows on,
+    when they hold at least _HELPER_MIN_ROWS rows of `row_bytes` (None: no
+    row end seen) and a "\\n" there; otherwise one.
     """
     end = os.fstat(fd).st_size
-    if not hasattr(os, "preadv") or not _helper_pays((end - begin) // row_bytes):
-        return None
-    at = (begin + end) // 2
-    while chunk := os.pread(fd, min(1 << 16, end - at), at):
-        if (k := chunk.find(b"\n")) >= 0:
-            return at + k + 1, end
-        at += len(chunk)
-    return None
+    if row_bytes is not None and (end - begin) // row_bytes >= _HELPER_MIN_ROWS:
+        raw, buffer = _ByteRange(fd, (begin + end) // 2, end), bytearray(1 << 16)
+        while size := raw.readinto(buffer):
+            if (k := buffer.find(b"\n", 0, size)) >= 0:
+                split = raw.at - size + k + 1
+                return [(begin, split), (split, end)]
+    return [(begin, end)]
 
 
 class _ByteRange(io.RawIOBase):
     """Bytes begin..end-1 of file fd, read with os.preadv straight into the
     caller's buffer, at an offset, so the file offset it shares with a forked
-    process never moves; each read also updates `sha` with that buffer."""
+    process never moves.  `starts` are those of the parse ranges it holds, in
+    order; each read updates each range's SHA-256 with that range's bytes."""
 
-    def __init__(self, fd: int, begin: int, end: int, sha=None):
+    def __init__(self, fd: int, begin: int, end: int, starts=()):
         super().__init__()
-        self.fd, self.at, self.end, self.sha = fd, begin, end, sha
+        self.fd, self.at, self.end = fd, begin, end
+        self.shas = [(start, hashlib.sha256(start.to_bytes(8, "little"))) for start in starts]
+
+    def digests(self) -> bytes:
+        """The ranges' digests, joined; each covers its range's offset and bytes."""
+        return b"".join(sha.digest() for _, sha in self.shas)
 
     def readable(self) -> bool:
         return True
@@ -739,45 +743,44 @@ class _ByteRange(io.RawIOBase):
         view = memoryview(buffer)[: max(0, self.end - self.at)]
         if hasattr(os, "preadv"):
             size = os.preadv(self.fd, [view], self.at)
-        else:  # no helper was split off (_split_point), so no other process shares the offset
+        else:  # no os.preadv, so no helper was forked (_load_table) to share the file offset
             os.lseek(self.fd, self.at, os.SEEK_SET)
             data = os.read(self.fd, len(view))
             size = len(data)
             view[:size] = data
+        stop = size  # from the last range back, each sha takes its own bytes of the read
+        for start, sha in reversed(self.shas):
+            cut = min(stop, max(0, start - self.at))
+            sha.update(view[cut:stop])
+            stop = cut
         self.at += size
-        if self.sha is not None:
-            self.sha.update(view[:size])
         return size
 
 
-def _load_range(fd: int, begin: int, end: int, sha=None) -> np.ndarray:
-    """The loadtxt table of bytes begin..end-1 of a session file, decoded as ASCII;
-    `sha`, if given, is updated with every byte parsed."""
-    raw = io.BufferedReader(_ByteRange(fd, begin, end, sha), 1 << 16)
+def _load_range(fd: int, ranges) -> tuple[np.ndarray, bytes]:
+    """The loadtxt table of adjoining parse ranges of a session file, read in one
+    pass and decoded as ASCII, and the digests of the ranges, joined."""
+    byte_range = _ByteRange(fd, ranges[0][0], ranges[-1][1], [begin for begin, _ in ranges])
+    raw = io.BufferedReader(byte_range, 1 << 16)
     with io.TextIOWrapper(raw, encoding="ascii", newline="") as text, warnings.catch_warnings():
         # each chunk the wrapper reads is one call of _ByteRange.readinto (8 KiB by default)
         text._CHUNK_SIZE = 1 << 16
         # one side of a split may hold only blank lines; the no-data peek saw rows
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(text, delimiter=",", comments=None, ndmin=1, dtype=_ROW_DTYPE)
+        table = np.loadtxt(text, delimiter=",", comments=None, ndmin=1, dtype=_ROW_DTYPE)
+    return table, byte_range.digests()
 
 
-def _send_range(out, fd: int, begin: int, end: int):
-    """The helper's share of a load: the table of bytes begin..end-1, then their digest."""
-    sha = _range_sha(begin)
-    _send(out, _load_range(fd, begin, end, sha))
-    _send(out, sha.digest())
+def _send_range(out, fd: int, ranges):
+    """The helper's share of a load: the table of its parse range, then the range's digest."""
+    for part in _load_range(fd, ranges):
+        _send(out, part)
 
 
-def _range_sha(begin: int):
-    """A SHA-256 of a parse range, started with the range's offset."""
-    return hashlib.sha256(begin.to_bytes(8, "little"))
-
-
-def _entry_name(size: int, header: str, digests: Sequence[bytes]) -> str:
+def _entry_name(size: int, header: str, digests: bytes) -> str:
     """The cache entry of a session file of `size` bytes: that size, then the key, a SHA-256
-    of _CACHE_TAG, the file's header line and the digests of its parse ranges."""
-    key = hashlib.sha256(_CACHE_TAG + header.encode("ascii") + b"".join(digests)).hexdigest()
+    of _CACHE_TAG, the file's header line and the joined digests of its parse ranges."""
+    key = hashlib.sha256(_CACHE_TAG + header.encode("ascii") + digests).hexdigest()
     return f"{size}-{key}.npy"
 
 
@@ -808,22 +811,19 @@ def _cached_table(cache: str, fd: int, header: str, ranges) -> Optional[np.ndarr
     """The cached table of file fd, whose parse ranges are `ranges`; None on a miss.
 
     Only an entry for a file of the same size can match, so when there is
-    none the file is not read.  Otherwise each range is digested in 1 MiB
-    reads through `_ByteRange`, as the parse would read it.  A hit must be
-    a C-order float64 (m, n, 12) array with no empty axis, and its entry
-    becomes the most recently used.
+    none the file is not read.  Otherwise the ranges are digested in one
+    pass of 1 MiB reads through `_ByteRange`, as the parse would read
+    them.  A hit must be a C-order float64 (m, n, 12) array with no empty
+    axis, and its entry becomes the most recently used.
     """
     size, buffer = ranges[-1][1], bytearray(1 << 20)
     try:
         if not any(name.startswith(f"{size}-") for name in os.listdir(cache)):
             return None
-        digests = []
-        for begin, end in ranges:
-            raw = _ByteRange(fd, begin, end, _range_sha(begin))
-            while raw.readinto(buffer):
-                pass
-            digests.append(raw.sha.digest())
-        path = os.path.join(cache, _entry_name(size, header, digests))
+        raw = _ByteRange(fd, ranges[0][0], size, [begin for begin, _ in ranges])
+        while raw.readinto(buffer):
+            pass
+        path = os.path.join(cache, _entry_name(size, header, raw.digests()))
         with open(path, "rb") as fh:  # np.load's .npy reader, with no zip or pickle
             data = np.lib.format.read_array(fh, allow_pickle=False)
     except (OSError, ValueError, EOFError, MemoryError):  # MemoryError: a huge shape

@@ -1,5 +1,6 @@
 """Session model and transform-stream CSV ingestion."""
 import csv
+import errno
 import io
 import math
 import os
@@ -368,6 +369,26 @@ class TestFloatText:
 
 
 class TestParseErrors:
+    @pytest.mark.parametrize("code, kind", [(errno.EIO, OSError), (errno.EACCES, PermissionError)])
+    @pytest.mark.parametrize("split", [False, True], ids=["one-process", "split"])
+    def test_read_error_names_the_file(self, tmp_path, monkeypatch, split, code, kind):
+        # an OSError after the open names the file, as a failed open does, and
+        # keeps its class and errno
+        path = tmp_path / "s.csv"
+        write_session(path, small_session(n=40, m=3, seed=28))
+
+        def broken(*args):
+            raise OSError(code, os.strerror(code))
+
+        if split:
+            monkeypatch.setattr(capture, "_HELPER_MIN_ROWS", 0)
+        monkeypatch.setattr(os, "preadv", broken, raising=False)
+        with pytest.raises(OSError) as failure:
+            load_session(path)
+        assert type(failure.value) is kind
+        assert failure.value.errno == code and failure.value.filename == str(path)
+        assert_no_child_left()
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("frame,body,stuff\n0,0,1\n")
@@ -792,11 +813,12 @@ class TestFastPathSplit(TestFastPath):
         path.write_bytes(text.encode())
         with open(path, "rb") as fh:
             row = len(GOOD_ROWS[0]) + 1
-            split = capture._split_point(fh.fileno(), len(CSV_HEADER) + 1, row)
+            ranges = capture._parse_ranges(fh.fileno(), len(CSV_HEADER) + 1, row)
+        assert ranges[0][0] == len(CSV_HEADER) + 1 and ranges[-1][1] == len(text)
         if helper_part is None:
-            assert split is None
+            assert len(ranges) == 1
         else:
-            assert text[split[0] :] == helper_part
+            assert text[ranges[1][0] :] == helper_part
         assert_loads_like_row_parser(path)
         assert capture._load_table(path, 1.0) is not None
 
@@ -807,9 +829,9 @@ class TestFastPathSplit(TestFastPath):
         path.write_text(text)
         with open(path, "rb") as fh:
             begin = len(CSV_HEADER) + 1
-            split, end = capture._split_point(fh.fileno(), begin, 100)
+            first, (split, end) = capture._parse_ranges(fh.fileno(), begin, 100)
             assert "18,1.5," in text[split:]
-            assert 0 < len(capture._load_range(fh.fileno(), begin, split)) < 37
+            assert 0 < len(capture._load_range(fh.fileno(), [first])[0]) < 37
         assert capture._load_table(path, 1.0) is None
         with pytest.raises(ParseError, match="row 39: invalid literal for int"):
             load_session(path)
@@ -861,6 +883,7 @@ class TestHelper:
         splits = capture._helper_pays(capture._HELPER_MIN_ROWS)
         monkeypatch.setattr(capture, "_HELPER_MIN_ROWS", 0)
         forks = count_forks(monkeypatch) if hasattr(os, "fork") else [0]
+        names = []
         for missing in ([], ["preadv"], ["preadv", "pread", "fork"]):
             forks[0] = 0
             with pytest.MonkeyPatch.context() as patch:
@@ -868,8 +891,11 @@ class TestHelper:
                     patch.delattr(os, name, raising=False)
                 assert capture._load_table(path, 1.0) is not None
                 assert_same_outcome(outcome(load_session, path, 1.0), expected)
-            assert forks == [2 if splits and not missing else 0]
+                assert forks == [2 if splits and not missing else 0]
+                names.append(stored_names(path))
             assert_no_child_left()
+        # one process stores the entry that the helper run (missing nothing) stores
+        assert len(names[0]) == 1 and names == names[:1] * 3
 
     @pytest.mark.parametrize("death", ["exit", "mid-message"])
     def test_helper_failure_fails_the_write(self, tmp_path, monkeypatch, death):
@@ -921,6 +947,16 @@ def fresh_cache():
 
 def entries(cache: Path) -> list[str]:
     return sorted(p.name for p in cache.glob("*.npy"))
+
+
+def stored_names(path) -> list[str]:
+    """The entries one load_session of `path` stores in a new, empty session cache,
+    even in a class of tests that has the cache turned off."""
+    with fresh_cache() as cache, pytest.MonkeyPatch.context() as patch:
+        cache.mkdir()
+        patch.setattr(capture, "_cache_dir", lambda: str(cache))
+        load_session(path)
+        return entries(cache)
 
 
 def refuse_parse(*args):
@@ -1174,6 +1210,9 @@ class TestSessionCache:
         path = tmp_path / "s.csv"
         write_session(path, small_session(n=40, m=3, seed=25))
         expected = outcome(capture._load_rows, path, 1.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(capture, "_HELPER_MIN_ROWS", 0)
+            helper_run = stored_names(path)  # a helper's part, where two CPUs are usable
         for missing in (["preadv"], ["preadv", "pread", "fork"]):
             names = []
             for gone in (["fork"], missing):
@@ -1188,6 +1227,69 @@ class TestSessionCache:
                     assert_same_outcome(outcome(load_session, path, 1.0), expected)
                     assert entries(cache) == names[-1:]
             assert len(names) == 2 and names[0] == names[1]
+            assert names[:1] == helper_run
+
+    def test_one_entry_whoever_parses(self, tmp_path, monkeypatch):
+        # a split file has one key, whether a helper parses its second range, or
+        # this process parses both: on one usable CPU, when os.fork fails, or
+        # with no os.preadv; a load after the first is a hit, whoever loads it
+        path = tmp_path / "s.csv"
+        write_session(path, small_session(n=40, m=3, seed=27))
+        expected = outcome(capture._load_rows, path, 1.0)
+        forks = force_helper(monkeypatch)
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        ways = {
+            "helper": [],
+            "one-cpu": [("sched_getaffinity", lambda pid: {0})],
+            "fork-fails": [("fork", no_fork)],
+            "no-preadv": [("preadv", None)],
+        }
+
+        @contextmanager
+        def loading(way):
+            with pytest.MonkeyPatch.context() as patch:
+                for name, value in ways[way]:
+                    if value is None:
+                        patch.delattr(os, name)
+                    else:
+                        patch.setattr(os, name, value)
+                yield patch
+
+        names = []
+        for first in ways:
+            forks[0] = 0
+            with fresh_cache() as cache:
+                with loading(first):
+                    assert_same_outcome(outcome(load_session, path, 1.0), expected)
+                assert forks == [1 if first == "helper" else 0]
+                names.append(entries(cache))
+                for way in ways:
+                    with loading(way) as patch:
+                        patch.setattr(capture, "_load_range", refuse_parse)
+                        assert_same_outcome(outcome(load_session, path, 1.0), expected)
+                assert entries(cache) == names[-1]
+            assert_no_child_left()
+        assert len(names[0]) == 1 and names == names[:1] * len(ways)
+
+    @pytest.mark.parametrize(
+        "split, name",
+        [
+            (False, "348-c1c92108fdbefdbdd02a75dd65c5944826faab18b67ac69d9a70ec0942f5019b.npy"),
+            (True, "348-5a85dc123189609a16cd9e6bf638b5c108e80ef98c1858b1ccab21055cfdfeb7.npy"),
+        ],
+        ids=["one-range", "split"],
+    )
+    def test_entry_name_is_pinned(self, tmp_path, monkeypatch, split, name):
+        # a change to how the key is derived must bump _CACHE_TAG, so that
+        # no entry stored under the old derivation is read under the new one
+        path = tmp_path / "s.csv"
+        path.write_bytes(GOLDEN_BYTES)
+        if split:  # two parse ranges
+            monkeypatch.setattr(capture, "_HELPER_MIN_ROWS", 0)
+        assert stored_names(path) == [name]
 
 
 def load_from_fifo(path: Path, data: bytes):

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 import argparse
+import errno
 import json
 import os
 import shutil
@@ -791,6 +792,18 @@ class TestExitCodes:
         assert f"wrote {out_path}" not in captured.out
         with pytest.raises(ChildProcessError):  # the helper was reaped
             os.waitpid(-1, os.WNOHANG)
+
+    def test_read_error_names_the_session(self, pair_csv, capsys, monkeypatch):
+        # a read that fails after the open names the file, as a failed open does
+        path, _ = pair_csv
+
+        def broken(*args):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(os, "preadv", broken, raising=False)
+        assert main(["build-skeleton", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno {errno.EIO}] {os.strerror(errno.EIO)}: '{path}'\n"
 
     @pytest.mark.parametrize("text, code", [(None, 4), ("{", 2)], ids=["missing", "malformed"])
     def test_bad_skeleton_fails_before_the_session_is_read(
